@@ -19,7 +19,7 @@ depends on, in pure Python:
 * ``repro.webworld`` — the synthetic web and the paper's controlled
   experiment workloads;
 * ``repro.pipeline`` — :class:`SubscriptionSystem`, the assembled system;
-* ``repro.observability`` — metrics registry + stage tracing threaded
+* ``repro.observability`` — metrics registry + stage latency histograms
   through every stage above (``system.metrics_snapshot()``);
 * ``repro.faults`` — seeded fault injection plus the resilience toolkit
   (retry with backoff, circuit breakers, dead-letter quarantine) the
@@ -58,12 +58,7 @@ from .core import (
 )
 from .errors import ReproError
 from .language import parse_subscription, validate_subscription
-from .observability import (
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    StageTracer,
-)
+from .observability import MetricsRegistry, NULL_REGISTRY, NullRegistry
 from .pipeline import Fetch, FeedResult, SubscriptionSystem
 from .query import QueryEngine, parse_query
 from .repository import Repository, SemanticClassifier
@@ -96,7 +91,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "StageTracer",
     "Fetch",
     "FeedResult",
     "SubscriptionSystem",

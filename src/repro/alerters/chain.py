@@ -28,7 +28,7 @@ from ..observability.names import (
     COUNTER_ALERTS_SUPPRESSED,
     STAGE_ALERTERS_BUILD_ALERT,
 )
-from ..observability.tracing import StageTracer
+from ..observability.tracing import stage_histogram
 from .base import Alerter
 from .context import FetchedDocument
 from .html_alerter import HTMLAlerter
@@ -90,8 +90,8 @@ class AlerterChain:
             alerters = [URLAlerter(), XMLAlerter(), HTMLAlerter()]
         self.alerters = alerters
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._latency = StageTracer(self.metrics).stage_histogram(
-            STAGE_ALERTERS_BUILD_ALERT
+        self._latency = stage_histogram(
+            self.metrics, STAGE_ALERTERS_BUILD_ALERT
         )
         self._built = self.metrics.counter(COUNTER_ALERTS_BUILT)
         self._suppressed = self.metrics.counter(COUNTER_ALERTS_SUPPRESSED)

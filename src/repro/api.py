@@ -18,8 +18,8 @@ The groups:
 * **ingestion** — :class:`IngestSession`, :class:`IngestReport`,
   :class:`AsyncFetchFrontend`, :class:`BoundedFetchQueue`;
 * **executors** — :class:`ExecutorSpec`, :func:`create_executor`,
-  :func:`register_executor`, :func:`available_executors`, and the
-  executor classes themselves for direct construction;
+  :func:`available_executors`, and the executor classes themselves for
+  direct construction;
 * **resilience** — fault injection, retry, breaker and dead-letter types;
 * **recovery** — :class:`RecoveryManager`, :class:`CrashPoint` and the
   kill-point harness behind ``SubscriptionSystem.enable_recovery`` /
@@ -28,9 +28,7 @@ The groups:
 
 Modules under ``repro.*`` remain importable directly, but this facade is
 the compatibility surface: names here do not move between releases,
-whereas internal module layout may.  The deprecated entry points they
-replace (``repro.pipeline.executor.make_executor``) emit a
-``DeprecationWarning`` and delegate here.
+whereas internal module layout may.
 """
 
 from __future__ import annotations
@@ -67,14 +65,11 @@ from .pipeline import (
     IngestSession,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
     SubscriptionSystem,
-    ThreadedExecutor,
     from_pairs,
 )
 from .pipeline.executors import available as available_executors
 from .pipeline.executors import create as create_executor
-from .pipeline.executors import register as register_executor
 from .webworld import SimulatedCrawler, SiteGenerator
 
 __all__ = [
@@ -95,13 +90,10 @@ __all__ = [
     # executors
     "ExecutorSpec",
     "create_executor",
-    "register_executor",
     "available_executors",
     "BatchExecutor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
-    "ShardFanoutExecutor",
     "DEFAULT_BATCH_SIZE",
     # resilience
     "FaultInjector",

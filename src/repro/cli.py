@@ -203,7 +203,7 @@ def _add_executor_arguments(subparser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         default=None,
         help="executor spec, name[:key=value,...] — e.g. serial,"
-        " threaded:workers=4, process:workers=4,batch=64,queue=128"
+        " process:workers=4, process:workers=4,batch=64,queue=128"
         " (default: $REPRO_EXECUTOR or serial)",
     )
     subparser.add_argument(
@@ -217,7 +217,7 @@ def _add_executor_arguments(subparser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker lanes for the threaded/process executors; overrides"
+        help="worker lanes for the process executor; overrides"
         " the spec's workers= field",
     )
     subparser.add_argument(

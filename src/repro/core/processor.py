@@ -29,7 +29,7 @@ from ..observability.names import (
     COUNTER_MQP_NOTIFICATIONS,
     STAGE_MQP_PROCESS_ALERT,
 )
-from ..observability.tracing import StageTracer
+from ..observability.tracing import stage_histogram
 from .aes import AESMatcher, sort_event_set
 from .events import AtomicEventKey, ComplexEvent, EventRegistry
 from .stats import ProcessorStats
@@ -84,8 +84,8 @@ class MonitoringQueryProcessor:
         self.clock = clock if clock is not None else SimulatedClock()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         labels = {} if shard_label is None else {"shard": shard_label}
-        self._latency = StageTracer(self.metrics).stage_histogram(
-            STAGE_MQP_PROCESS_ALERT, **labels
+        self._latency = stage_histogram(
+            self.metrics, STAGE_MQP_PROCESS_ALERT, **labels
         )
         self._notified = self.metrics.counter(
             COUNTER_MQP_NOTIFICATIONS, **labels
@@ -116,35 +116,6 @@ class MonitoringQueryProcessor:
     def process_alert(self, alert: Alert) -> List[Notification]:
         """Match one alert; dispatch and return its notification batch."""
         start = self.metrics.now()
-        notifications = self._match(alert)
-        self.dispatch(notifications)
-        self._latency.observe(self.metrics.now() - start)
-        if notifications:
-            self._notified.inc(len(notifications))
-        return notifications
-
-    def match_alert(self, alert: Alert) -> List[Notification]:
-        """Match and account one alert *without* dispatching to sinks.
-
-        The sharded batch fan-out matches each shard's alerts on a worker
-        thread and dispatches in input order afterwards, so downstream
-        consumers see the exact serial sequence; stats and metrics here are
-        identical to :meth:`process_alert`.
-        """
-        start = self.metrics.now()
-        notifications = self._match(alert)
-        self._latency.observe(self.metrics.now() - start)
-        if notifications:
-            self._notified.inc(len(notifications))
-        return notifications
-
-    def dispatch(self, notifications: List[Notification]) -> None:
-        """Forward one non-empty notification batch to every sink."""
-        if notifications:
-            for sink in self._sinks:
-                sink(notifications)
-
-    def _match(self, alert: Alert) -> List[Notification]:
         now = self.clock.now()
         matched = self.matcher.match(alert.event_codes)
         notifications = [
@@ -159,7 +130,17 @@ class MonitoringQueryProcessor:
         self.stats.alerts_processed += 1
         self.stats.events_seen += len(alert.event_codes)
         self.stats.notifications_sent += len(notifications)
+        self.dispatch(notifications)
+        self._latency.observe(self.metrics.now() - start)
+        if notifications:
+            self._notified.inc(len(notifications))
         return notifications
+
+    def dispatch(self, notifications: List[Notification]) -> None:
+        """Forward one non-empty notification batch to every sink."""
+        if notifications:
+            for sink in self._sinks:
+                sink(notifications)
 
     def match_codes(self, event_codes: Sequence[int]) -> List[int]:
         """Bare matching (no sinks, no stats) — used by benchmarks."""

@@ -28,8 +28,7 @@ work; when ``metrics`` is given, each worker additionally gets a
 from __future__ import annotations
 
 import hashlib
-import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..clock import Clock, SimulatedClock
 from ..errors import MonitoringError
@@ -73,24 +72,14 @@ class _ShardedBase:
         ]
         #: Facade-level counters (see the module docstring).
         self._facade_stats = ProcessorStats()
-        #: Facade copy of the sinks, for batch fan-outs that match on
-        #: worker threads and dispatch in input order afterwards.
-        self._sinks: List[NotificationSink] = []
 
     @property
     def shard_count(self) -> int:
         return len(self.shards)
 
     def add_sink(self, sink: NotificationSink) -> None:
-        self._sinks.append(sink)
         for shard in self.shards:
             shard.add_sink(sink)
-
-    def dispatch(self, notifications: List[Notification]) -> None:
-        """Forward one non-empty notification batch to every sink."""
-        if notifications:
-            for sink in self._sinks:
-                sink(notifications)
 
     def stats(self) -> ProcessorStats:
         """Stats of the logical (single-facade) processor.
@@ -147,51 +136,6 @@ class FlowPartitionedProcessor(_ShardedBase):
         batch = shard.process_alert(alert)
         self._record_alert(alert, batch)
         return batch
-
-    def match_alert_batch(
-        self, alerts: Sequence[Alert]
-    ) -> List[List[Notification]]:
-        """Match a whole batch with one worker thread per occupied shard.
-
-        Each alert still visits exactly the shard its URL hashes to, and
-        each shard processes its alerts in input order, so routing, shard
-        stats and per-shard metrics are identical to looping
-        ``process_alert`` — only sink dispatch is left to the caller (who
-        must call :meth:`dispatch` per returned batch, in input order).
-        Worker threads never share a shard, so no shard state needs
-        locking; facade stats are recorded after the join.
-        """
-        results: List[List[Notification]] = [[] for _ in alerts]
-        groups: Dict[int, List[int]] = {}
-        for position, alert in enumerate(alerts):
-            groups.setdefault(
-                self.shard_for(alert.document_url), []
-            ).append(position)
-
-        def work(shard_index: int, positions: List[int]) -> None:
-            shard = self.shards[shard_index]
-            for position in positions:
-                results[position] = shard.match_alert(alerts[position])
-
-        if len(groups) <= 1:
-            for shard_index, positions in groups.items():
-                work(shard_index, positions)
-        else:
-            workers = [
-                threading.Thread(
-                    target=work,
-                    args=(shard_index, positions),
-                    name=f"repro-shard-{shard_index}",
-                )
-                for shard_index, positions in groups.items()
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-        for position, alert in enumerate(alerts):
-            self._record_alert(alert, results[position])
-        return results
 
 
 class SubscriptionPartitionedProcessor(_ShardedBase):

@@ -1,4 +1,4 @@
-"""Pipeline-wide observability: metrics registry + stage-span tracing.
+"""Pipeline-wide observability: metrics registry + stage latency histograms.
 
 The paper argues for Xyleme with measured, per-stage behavior (documents/day
 through the crawler, alerts/second through the MQP, notifications/day out of
@@ -10,8 +10,8 @@ the Reporter).  This package gives the reproduction the same visibility:
 * :class:`NullRegistry` / :data:`NULL_REGISTRY` — the injectable no-op every
   instrumented class defaults to, guaranteeing observability never perturbs
   behavior;
-* :class:`StageTracer` — spans over named pipeline stages feeding
-  ``<stage>.latency_seconds`` histograms;
+* :func:`stage_histogram` — the ``<stage>.latency_seconds`` histogram a
+  pipeline stage times itself into;
 * :mod:`repro.observability.names` — the canonical metric-name list that
   ``docs/OBSERVABILITY.md`` is tested against.
 
@@ -31,7 +31,7 @@ from .metrics import (
     split_key,
 )
 from .names import ALL_METRIC_NAMES, COUNTER_NAMES, GAUGE_NAMES, STAGE_NAMES
-from .tracing import LATENCY_SUFFIX, Span, StageTracer
+from .tracing import LATENCY_SUFFIX, stage_histogram
 
 __all__ = [
     "Counter",
@@ -48,6 +48,5 @@ __all__ = [
     "GAUGE_NAMES",
     "STAGE_NAMES",
     "LATENCY_SUFFIX",
-    "Span",
-    "StageTracer",
+    "stage_histogram",
 ]

@@ -1,87 +1,24 @@
-"""Lightweight stage-span tracing on top of the metrics registry.
+"""Stage latency histograms on top of the metrics registry.
 
 A *stage* is one named step of the document pipeline (``repository.store_xml``,
-``mqp.process_alert``, ...).  Entering a span records the start time from the
-registry's time source; leaving it feeds the elapsed time into the stage's
-latency histogram (``<stage>.latency_seconds``, whose ``count`` is the stage
-call count) and remembers the completed span in a bounded ring for
-introspection.
-
-Hot paths that cannot afford a context manager per call cache the histogram
-returned by :meth:`StageTracer.stage_histogram` and time themselves inline;
-both routes feed the same metrics.
+``mqp.process_alert``, ...).  Its elapsed times feed the stage's latency
+histogram (``<stage>.latency_seconds``, whose ``count`` is the stage call
+count).  Hot paths cache the histogram returned by :func:`stage_histogram`
+and time themselves inline against the registry's time source.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional
-
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-)
+from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 
 #: Suffix every stage latency histogram shares.
 LATENCY_SUFFIX = ".latency_seconds"
 
 
-@dataclass(frozen=True)
-class Span:
-    """One completed stage execution."""
-
-    stage: str
-    start: float
-    end: float
-    labels: Dict[str, str]
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class StageTracer:
-    """Times named stages into per-stage latency histograms.
-
-    ``keep`` bounds the in-memory ring of completed spans (0 disables
-    retention entirely, which is what the assembled system uses — the
-    histograms alone carry the trajectory).
-    """
-
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        keep: int = 0,
-    ):
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._keep = keep
-        self._recent: Deque[Span] = deque(maxlen=keep if keep > 0 else 1)
-
-    def stage_histogram(self, stage: str, **labels: str) -> Histogram:
-        """The histogram a span of ``stage`` observes into (cacheable)."""
-        return self.metrics.histogram(
-            stage + LATENCY_SUFFIX, DEFAULT_LATENCY_BUCKETS, **labels
-        )
-
-    @contextmanager
-    def span(self, stage: str, **labels: str) -> Iterator[None]:
-        """Time one stage execution; exceptions still close the span."""
-        histogram = self.stage_histogram(stage, **labels)
-        start = self.metrics.now()
-        try:
-            yield
-        finally:
-            end = self.metrics.now()
-            histogram.observe(end - start)
-            if self._keep > 0:
-                self._recent.append(
-                    Span(stage=stage, start=start, end=end, labels=labels)
-                )
-
-    def recent(self) -> List[Span]:
-        """Completed spans, oldest first (empty unless ``keep`` > 0)."""
-        return list(self._recent) if self._keep > 0 else []
+def stage_histogram(
+    metrics: MetricsRegistry, stage: str, **labels: str
+) -> Histogram:
+    """The latency histogram of ``stage`` (interned; cache it)."""
+    return metrics.histogram(
+        stage + LATENCY_SUFFIX, DEFAULT_LATENCY_BUCKETS, **labels
+    )

@@ -3,14 +3,10 @@
 from .executor import (
     BatchExecutor,
     DEFAULT_BATCH_SIZE,
-    EXECUTORS,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
-    ThreadedExecutor,
-    make_executor,
 )
-from .executors import ExecutorSpec, available, create, register
+from .executors import ExecutorSpec, available, create
 from .frontend import AsyncFetchFrontend
 from .ingest import BoundedFetchQueue, IngestReport, IngestSession
 from .stages import FeedResult, PipelineTask
@@ -22,7 +18,6 @@ __all__ = [
     "BatchExecutor",
     "BoundedFetchQueue",
     "DEFAULT_BATCH_SIZE",
-    "EXECUTORS",
     "ExecutorSpec",
     "Fetch",
     "FeedResult",
@@ -32,14 +27,10 @@ __all__ = [
     "PipelineTask",
     "ProcessExecutor",
     "SerialExecutor",
-    "ShardFanoutExecutor",
     "SubscriptionSystem",
-    "ThreadedExecutor",
     "XML_PAGE",
     "available",
     "chunked",
     "create",
     "from_pairs",
-    "make_executor",
-    "register",
 ]

@@ -1,26 +1,17 @@
 """Pluggable batch executors for the staged ingestion pipeline.
 
 The paper's Xyleme scales ingestion by running its Figure 3 stages as
-independent processes; related FPGA/cluster work (see PAPERS.md) scales the
-*match* stage by fanning one document stream across parallel engines.  This
-module gives the reproduction the same seam: a :class:`BatchExecutor` turns
-one batch of :class:`~repro.pipeline.stages.PipelineTask` items into
-completed tasks, and the three implementations trade concurrency for
-simplicity without changing observable behaviour:
+independent processes.  This module gives the reproduction the same seam:
+a :class:`BatchExecutor` turns one batch of
+:class:`~repro.pipeline.stages.PipelineTask` items into completed tasks,
+and the two implementations trade concurrency for simplicity without
+changing observable behaviour:
 
 * :class:`SerialExecutor` — the default; byte-for-byte today's one-document-
   at-a-time behaviour, each task running the full lifecycle in input order.
-* :class:`ThreadedExecutor` — fans the *pure* stages (XML parsing, alerter
-  detection) out over a shared thread pool, then merges back into input
-  order before the stateful load/alert/match stages.  Under the CPython GIL
-  this buys overlap rather than raw speedup (the bench records the actual
-  ratio); the ordered merge is what the next PRs' process pools and async
-  crawlers will plug into.
-* :class:`ShardFanoutExecutor` — runs the front half in order, then fans
-  the batch's alerts out across a
-  :class:`~repro.core.sharding.FlowPartitionedProcessor`'s shards
-  concurrently (one worker per occupied shard) instead of the serial
-  shard loop, dispatching notifications in input order afterwards.
+* :class:`ProcessExecutor` — fans the *pure* stages (XML parsing, alerter
+  detection) out over a process pool, then merges back into input order
+  before the stateful load/alert/match stages.
 
 Equivalence contract (property-tested): for the same stream, every
 executor produces the same notification multiset, the same rejection
@@ -39,17 +30,13 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     TimeoutError as FuturesTimeoutError,
 )
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.sharding import FlowPartitionedProcessor
 from ..errors import PipelineError
 from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
@@ -83,7 +70,7 @@ from .stages import (
 DEFAULT_BATCH_SIZE = 32
 
 #: Environment variable naming the default executor (CI runs the whole
-#: tier-1 suite with ``REPRO_EXECUTOR=threaded`` to exercise the
+#: tier-1 suite with ``REPRO_EXECUTOR=process`` to exercise the
 #: non-default path).
 EXECUTOR_ENV = "REPRO_EXECUTOR"
 
@@ -151,18 +138,6 @@ class BatchExecutor:
         """Release worker resources (idempotent; executors without any
         are free to inherit this no-op)."""
 
-    def _count_fallback(self, system: Any) -> None:
-        """Record one degraded-mode fallback to the serial path.
-
-        A worker-infrastructure exception (a broken pool, a crashed
-        shard sweep) must degrade the batch to the serial path, not
-        abort the stream; every such event is counted under
-        ``executor.fallbacks{executor=<name>}``.
-        """
-        system.metrics.counter(
-            COUNTER_EXECUTOR_FALLBACKS, executor=self.name
-        ).inc()
-
 
 class SerialExecutor(BatchExecutor):
     """The reference executor: each task runs the full lifecycle, one task
@@ -191,157 +166,6 @@ class SerialExecutor(BatchExecutor):
         return tasks
 
 
-class ThreadedExecutor(BatchExecutor):
-    """Thread pool over the pure stages, ordered merge over the rest.
-
-    Sweep layout per batch::
-
-        1. parse    — worker threads (pure: XML text -> Document)
-        2. load + classify — input order (repository state)
-        3. detect   — worker threads (pure: read-only alerter tables)
-        4. alert + match + route — input order (counters, MQP, sinks)
-
-    Work is fanned out in contiguous slices — one future per worker, with
-    the main thread taking the first slice — so per-item submission
-    overhead stays negligible at small batch sizes.  The pool is created
-    lazily and reused across batches.
-    """
-
-    name = "threaded"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is None:
-            max_workers = min(8, os.cpu_count() or 2)
-        self.max_workers = max(1, int(max_workers))
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    # -- pool plumbing ----------------------------------------------------
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-executor",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    @staticmethod
-    def _run_slice(
-        step: Callable[[PipelineTask], Any], items: Sequence[PipelineTask]
-    ) -> None:
-        for item in items:
-            step(item)
-
-    def _sweep(
-        self, step: Callable[[PipelineTask], Any], items: List[PipelineTask]
-    ) -> None:
-        """Apply a pure per-task step across the pool in slices.
-
-        ``step`` must never raise — the stage steps used here park failures
-        on the task instead (see the error-slot contract).
-        """
-        if len(items) <= 1 or self.max_workers == 1:
-            self._run_slice(step, items)
-            return
-        workers = min(self.max_workers, len(items))
-        bound = -(-len(items) // workers)  # ceil division
-        slices = [
-            items[offset : offset + bound]
-            for offset in range(0, len(items), bound)
-        ]
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(self._run_slice, step, piece) for piece in slices[1:]
-        ]
-        self._run_slice(step, slices[0])  # main thread takes a share too
-        for future in futures:
-            future.result()
-
-    def _guarded_sweep(
-        self,
-        system: Any,
-        step: Callable[[PipelineTask], Any],
-        items: List[PipelineTask],
-    ) -> None:
-        """A pool sweep that degrades to the serial path instead of
-        aborting the stream.
-
-        The per-task steps park their own failures (error-slot contract)
-        and are idempotent — ``parse_stage`` skips tasks already parsed,
-        ``detect_stage`` recomputes a pure result — so rerunning the
-        whole slice serially after a partial sweep is safe.
-        """
-        try:
-            self._sweep(step, items)
-        except Exception:
-            self._count_fallback(system)
-            self._run_slice(step, items)
-
-    # -- the batch --------------------------------------------------------
-
-    def run_batch(
-        self,
-        system: Any,
-        tasks: List[PipelineTask],
-        stop_on_error: bool = False,
-    ) -> List[PipelineTask]:
-        timer = _StageTimer(system.metrics, self.name)
-
-        start = timer.start()
-        self._guarded_sweep(
-            system,
-            parse_stage,
-            [t for t in tasks if t.fetch.is_xml and t.document is None],
-        )
-        timer.stop(STAGE_PARSE, start)
-
-        reached = len(tasks)
-        for position, task in enumerate(tasks):
-            raise_if_fatal(task)
-            start = timer.start()
-            run_stage(STAGE_LOAD, load_stage, system, task)
-            timer.stop(STAGE_LOAD, start)
-            start = timer.start()
-            run_stage(STAGE_CLASSIFY, classify_stage, system, task)
-            timer.stop(STAGE_CLASSIFY, start)
-            if task.error is not None and stop_on_error:
-                reached = position + 1
-                break
-        live = tasks[:reached]
-
-        start = timer.start()
-        self._guarded_sweep(
-            system,
-            partial(detect_stage, system),
-            [t for t in live if t.error is None],
-        )
-        timer.stop(STAGE_DETECT, start)
-
-        for task in live:
-            for stage, step in (
-                (STAGE_ALERT, alert_stage),
-                (STAGE_MATCH, match_stage),
-                (STAGE_ROUTE, route_stage),
-            ):
-                start = timer.start()
-                run_stage(stage, step, system, task)
-                timer.stop(stage, start)
-                if task.error is not None:
-                    break
-            if task.error is not None and stop_on_error:
-                break
-        timer.flush()
-        return tasks
-
-
 def _contiguous_slices(items: List, lanes: int) -> List[List]:
     """Split ``items`` into at most ``lanes`` contiguous slices."""
     lanes = min(max(1, lanes), len(items))
@@ -355,8 +179,7 @@ def _contiguous_slices(items: List, lanes: int) -> List[List]:
 class ProcessExecutor(BatchExecutor):
     """True-parallel parse/detect: the pure stages leave the GIL entirely.
 
-    Sweep layout per batch (same ordered-merge contract as
-    :class:`ThreadedExecutor`)::
+    Sweep layout per batch (stateful stages stay in input order)::
 
         1. parse    — worker processes (payload: ParseRequest/Response)
         2. load + classify — input order (repository state)
@@ -371,9 +194,7 @@ class ProcessExecutor(BatchExecutor):
     Detection tables travel as a pickled
     :class:`~repro.alerters.DetectorState` snapshot, re-pickled only when
     the chain version changes and cached per worker by version token (see
-    :mod:`repro.pipeline.workers`).  ``detect_locally=True`` keeps the
-    detect sweep in the parent (useful when documents are large enough
-    that shipping them costs more than detection saves).
+    :mod:`repro.pipeline.workers`).
 
     A broken pool (a worker killed mid-batch) degrades the sweep to the
     serial path — counted under ``executor.fallbacks{executor=process}``
@@ -392,7 +213,6 @@ class ProcessExecutor(BatchExecutor):
     def __init__(
         self,
         workers: Optional[int] = None,
-        detect_locally: bool = False,
         watchdog: Optional[float] = None,
     ):
         if workers is None:
@@ -403,7 +223,6 @@ class ProcessExecutor(BatchExecutor):
             )
         self.workers = max(1, int(workers))
         self.watchdog = watchdog
-        self.detect_locally = bool(detect_locally)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._blob_token: Optional[Tuple[int, int]] = None
@@ -535,35 +354,33 @@ class ProcessExecutor(BatchExecutor):
         # sets + payload copies).
         detectable = [t for t in live if t.error is None]
         start = timer.start()
-        if detectable:
-            if self.detect_locally or len(detectable) <= 1:
+        if len(detectable) == 1:
+            detect_stage(system, detectable[0])
+        elif detectable:
+            requests = [
+                DetectRequest(t.index, t.fetched) for t in detectable
+            ]
+            by_index = {t.index: t for t in detectable}
+
+            def apply_detect(response) -> None:
+                task = by_index[response.index]
+                if response.error is not None:
+                    task.detection_error = response.error
+                else:
+                    task.detection = response.detection
+
+            try:
+                token, blob = self._detector_blob(system)
+                self._process_sweep(
+                    detect_slice,
+                    requests,
+                    apply_detect,
+                    extra_args=(token, blob),
+                )
+            except Exception as exc:
+                self._degrade(system, exc)
                 for task in detectable:
                     detect_stage(system, task)
-            else:
-                requests = [
-                    DetectRequest(t.index, t.fetched) for t in detectable
-                ]
-                by_index = {t.index: t for t in detectable}
-
-                def apply_detect(response) -> None:
-                    task = by_index[response.index]
-                    if response.error is not None:
-                        task.detection_error = response.error
-                    else:
-                        task.detection = response.detection
-
-                try:
-                    token, blob = self._detector_blob(system)
-                    self._process_sweep(
-                        detect_slice,
-                        requests,
-                        apply_detect,
-                        extra_args=(token, blob),
-                    )
-                except Exception as exc:
-                    self._degrade(system, exc)
-                    for task in detectable:
-                        detect_stage(system, task)
         timer.stop(STAGE_DETECT, start)
 
         # 4. alert + match + route — input order.
@@ -584,8 +401,12 @@ class ProcessExecutor(BatchExecutor):
         return tasks
 
     def _degrade(self, system: Any, exc: Exception) -> None:
-        """Count one degraded batch; discard the pool if it died or hung."""
-        self._count_fallback(system)
+        """Degrade one batch to the serial path instead of aborting the
+        stream: count it under ``executor.fallbacks{executor=process}``
+        and discard the pool if it died or hung."""
+        system.metrics.counter(
+            COUNTER_EXECUTOR_FALLBACKS, executor=self.name
+        ).inc()
         if isinstance(exc, FuturesTimeoutError):
             # A hung worker: the future never completed within the
             # watchdog.  The pool still holds the stuck process, so it is
@@ -596,126 +417,3 @@ class ProcessExecutor(BatchExecutor):
             self._discard_pool()
         elif isinstance(exc, BrokenExecutor):
             self._discard_pool()
-
-
-class ShardFanoutExecutor(BatchExecutor):
-    """Sharded-parallel match: the batch's alerts fan out across the flow
-    partitioner's shards concurrently instead of the serial shard loop.
-
-    The front half (load/classify/alert) runs in input order; the match
-    sweep groups alerts by owning shard and matches each group on its own
-    worker thread (:meth:`FlowPartitionedProcessor.match_alert_batch`);
-    sink dispatch then happens in input order, so everything downstream of
-    the MQP sees exactly the serial sequence.  On a system without a
-    multi-shard flow partitioner the match sweep degrades to the serial
-    loop.
-    """
-
-    name = "sharded"
-
-    def run_batch(
-        self,
-        system: Any,
-        tasks: List[PipelineTask],
-        stop_on_error: bool = False,
-    ) -> List[PipelineTask]:
-        timer = _StageTimer(system.metrics, self.name)
-        reached = len(tasks)
-        for position, task in enumerate(tasks):
-            raise_if_fatal(task)
-            for stage, step in (
-                (STAGE_LOAD, load_stage),
-                (STAGE_CLASSIFY, classify_stage),
-                (STAGE_ALERT, alert_stage),
-            ):
-                start = timer.start()
-                run_stage(stage, step, system, task)
-                timer.stop(stage, start)
-                if task.error is not None:
-                    break
-            if task.error is not None and stop_on_error:
-                reached = position + 1
-                break
-        live = tasks[:reached]
-
-        matchable = [
-            t for t in live if t.error is None and t.alert is not None
-        ]
-        processor = system.processor
-        start = timer.start()
-        if (
-            isinstance(processor, FlowPartitionedProcessor)
-            and processor.shard_count > 1
-            and len(matchable) > 1
-        ):
-            # A worker exception inside the concurrent shard sweep
-            # degrades this batch to the serial match loop (nothing has
-            # been dispatched yet — match_alert_batch computes every
-            # shard's notifications before any sink fires).
-            try:
-                batches = processor.match_alert_batch(
-                    [task.alert for task in matchable]
-                )
-            except Exception:
-                self._count_fallback(system)
-                batches = None
-            if batches is None:
-                for task in matchable:
-                    run_stage(STAGE_MATCH, match_stage, system, task)
-            else:
-                for task, notifications in zip(matchable, batches):
-                    processor.dispatch(notifications)
-                    task.notifications = notifications
-                    task.stage = STAGE_MATCH
-        else:
-            for task in matchable:
-                run_stage(STAGE_MATCH, match_stage, system, task)
-        timer.stop(STAGE_MATCH, start)
-
-        for task in live:
-            start = timer.start()
-            run_stage(STAGE_ROUTE, route_stage, system, task)
-            timer.stop(STAGE_ROUTE, start)
-        timer.flush()
-        return tasks
-
-
-#: Legacy registry for bare-name specs.  Superseded by the
-#: :mod:`repro.pipeline.executors` registry (which also understands
-#: ``name:key=value,...`` option strings); kept so old callers keep
-#: working.
-EXECUTORS: Dict[str, Callable[[], BatchExecutor]] = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadedExecutor.name: ThreadedExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-    ShardFanoutExecutor.name: ShardFanoutExecutor,
-}
-
-#: One-shot latch for the ``make_executor`` deprecation warning (tests
-#: reset it to assert the warning fires exactly once).
-_MAKE_EXECUTOR_WARNED = False
-
-
-def make_executor(
-    spec: Union[str, BatchExecutor, None] = None,
-) -> BatchExecutor:
-    """Deprecated: use :func:`repro.pipeline.executors.create`.
-
-    The replacement accepts everything this accepted (instances pass
-    through, bare names are looked up, ``None`` falls back to
-    ``$REPRO_EXECUTOR`` and then to serial) plus full
-    ``name:key=value,...`` spec strings.  This shim delegates to it and
-    emits one :class:`DeprecationWarning` per process.
-    """
-    global _MAKE_EXECUTOR_WARNED
-    if not _MAKE_EXECUTOR_WARNED:
-        _MAKE_EXECUTOR_WARNED = True
-        warnings.warn(
-            "repro.pipeline.executor.make_executor is deprecated; use "
-            "repro.pipeline.executors.create (or the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    from .executors import create
-
-    return create(spec)

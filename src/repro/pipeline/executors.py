@@ -1,24 +1,22 @@
 """The executor registry: one spec grammar for CLI, env and constructor.
 
-Three PRs of growth left executor configuration scattered across
-overlapping knobs — an ``executor=`` constructor kwarg, ``--executor`` /
-``--batch-size`` CLI flags and the ``$REPRO_EXECUTOR`` variable, with the
-process pool about to add workers and queue bounds on top.  This module
-collapses all of it into one :class:`ExecutorSpec` with a single string
-grammar accepted everywhere::
+Executor configuration arrives from an ``executor=`` constructor kwarg,
+``--executor`` / ``--batch-size`` / ``--workers`` / ``--queue-depth`` CLI
+flags and the ``$REPRO_EXECUTOR`` variable.  This module collapses all of
+it into one :class:`ExecutorSpec` with a single string grammar accepted
+everywhere::
 
     serial
-    threaded:workers=4
+    process:workers=4
     process:workers=4,batch=64,queue=128
-    process:workers=4,detect=local
 
-Grammar: ``name[:key=value,...]`` where the keys are
+Grammar: ``name[:key=value,...]`` where ``name`` is ``serial`` or
+``process`` and the keys (all positive integers) are
 
-* ``workers`` — parallel lanes for the threaded/process executors;
-* ``batch`` (alias ``batch_size``) — documents per stream batch;
-* ``queue`` (alias ``queue_depth``) — bound of the ingest queue between
-  the fetch front-end and the executor (backpressure);
-* ``detect`` — ``local`` or ``workers``; process executor only;
+* ``workers`` — parallel lanes for the process executor;
+* ``batch`` — documents per stream batch;
+* ``queue`` — bound of the ingest queue between the fetch front-end and
+  the executor (backpressure);
 * ``watchdog`` — seconds before a hung worker future times the sweep
   out (degrading the batch to the serial path); process executor only.
 
@@ -33,14 +31,13 @@ setting (most specific wins):
 4. the built-in default (serial, batch 32, queue 2×batch).
 
 :func:`create` turns a spec (string, :class:`ExecutorSpec`, instance or
-``None``) into a ready :class:`~repro.pipeline.executor.BatchExecutor`;
-:func:`register` adds project-local executors to the same namespace.
+``None``) into a ready :class:`~repro.pipeline.executor.BatchExecutor`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..errors import PipelineError
@@ -49,29 +46,14 @@ from .executor import (
     EXECUTOR_ENV,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
-    ThreadedExecutor,
 )
 
 __all__ = [
     "ExecutorSpec",
     "available",
     "create",
-    "register",
     "resolve",
 ]
-
-#: Spec keys that take positive integers, with their accepted aliases.
-_INT_KEYS = {
-    "workers": "workers",
-    "batch": "batch",
-    "batch_size": "batch",
-    "queue": "queue",
-    "queue_depth": "queue",
-    "watchdog": "watchdog",
-}
-
-_DETECT_VALUES = ("local", "workers")
 
 
 @dataclass(frozen=True)
@@ -82,7 +64,6 @@ class ExecutorSpec:
     workers: Optional[int] = None
     batch: Optional[int] = None
     queue: Optional[int] = None
-    detect: Optional[str] = None
     watchdog: Optional[int] = None
 
     @classmethod
@@ -93,7 +74,7 @@ class ExecutorSpec:
         name = name.strip().lower()
         if not name:
             raise PipelineError(f"empty executor name in spec {text!r}")
-        values: Dict[str, Union[int, str]] = {}
+        values: Dict[str, int] = {}
         if options.strip():
             for item in options.split(","):
                 key, sep, value = item.partition("=")
@@ -104,34 +85,24 @@ class ExecutorSpec:
                         f"malformed option {item.strip()!r} in executor spec"
                         f" {text!r} (expected key=value)"
                     )
-                if key in _INT_KEYS:
-                    canonical = _INT_KEYS[key]
-                    try:
-                        number = int(value)
-                    except ValueError:
-                        raise PipelineError(
-                            f"executor spec option {key!r} needs an integer,"
-                            f" got {value!r}"
-                        ) from None
-                    if number < 1:
-                        raise PipelineError(
-                            f"executor spec option {key!r} must be >= 1,"
-                            f" got {number}"
-                        )
-                    values[canonical] = number
-                elif key == "detect":
-                    if value.lower() not in _DETECT_VALUES:
-                        raise PipelineError(
-                            f"executor spec option detect= must be one of"
-                            f" {', '.join(_DETECT_VALUES)}, got {value!r}"
-                        )
-                    values["detect"] = value.lower()
-                else:
-                    known = sorted({*(_INT_KEYS), "detect"})
+                if key not in _KEYS:
                     raise PipelineError(
                         f"unknown executor spec option {key!r}"
-                        f" (choose from {', '.join(known)})"
+                        f" (choose from {', '.join(sorted(_KEYS))})"
                     )
+                try:
+                    number = int(value)
+                except ValueError:
+                    raise PipelineError(
+                        f"executor spec option {key!r} needs an integer,"
+                        f" got {value!r}"
+                    ) from None
+                if number < 1:
+                    raise PipelineError(
+                        f"executor spec option {key!r} must be >= 1,"
+                        f" got {number}"
+                    )
+                values[key] = number
         return cls(name=name, **values)
 
     def merged(self, **overrides) -> "ExecutorSpec":
@@ -144,89 +115,45 @@ class ExecutorSpec:
 
     def render(self) -> str:
         """The canonical spec string (parse/render round-trips)."""
-        options = []
-        for spec_field in fields(self):
-            if spec_field.name == "name":
-                continue
-            value = getattr(self, spec_field.name)
-            if value is not None:
-                options.append(f"{spec_field.name}={value}")
+        options = [
+            f"{key}={getattr(self, key)}"
+            for key in _KEYS
+            if getattr(self, key) is not None
+        ]
         if not options:
             return self.name
         return f"{self.name}:{','.join(options)}"
 
 
-def _reject_workers(spec: ExecutorSpec) -> None:
-    if spec.workers is not None:
-        raise PipelineError(
-            f"executor {spec.name!r} takes no workers= option"
-        )
-
-
-def _reject_detect(spec: ExecutorSpec) -> None:
-    if spec.detect is not None:
-        raise PipelineError(
-            f"executor {spec.name!r} takes no detect= option"
-        )
-
-
-def _reject_watchdog(spec: ExecutorSpec) -> None:
-    if spec.watchdog is not None:
-        raise PipelineError(
-            f"executor {spec.name!r} takes no watchdog= option"
-        )
+#: The spec keys, in render order: every field but the name.
+_KEYS: Tuple[str, ...] = tuple(
+    spec_field.name
+    for spec_field in fields(ExecutorSpec)
+    if spec_field.name != "name"
+)
 
 
 def _build_serial(spec: ExecutorSpec) -> BatchExecutor:
-    _reject_workers(spec)
-    _reject_detect(spec)
-    _reject_watchdog(spec)
+    for key in ("workers", "watchdog"):
+        if getattr(spec, key) is not None:
+            raise PipelineError(
+                f"executor {spec.name!r} takes no {key}= option"
+            )
     return SerialExecutor()
 
 
-def _build_threaded(spec: ExecutorSpec) -> BatchExecutor:
-    _reject_detect(spec)
-    _reject_watchdog(spec)
-    return ThreadedExecutor(max_workers=spec.workers)
-
-
 def _build_process(spec: ExecutorSpec) -> BatchExecutor:
-    return ProcessExecutor(
-        workers=spec.workers,
-        detect_locally=spec.detect == "local",
-        watchdog=spec.watchdog,
-    )
-
-
-def _build_sharded(spec: ExecutorSpec) -> BatchExecutor:
-    _reject_workers(spec)
-    _reject_detect(spec)
-    _reject_watchdog(spec)
-    return ShardFanoutExecutor()
+    return ProcessExecutor(workers=spec.workers, watchdog=spec.watchdog)
 
 
 _FACTORIES: Dict[str, Callable[[ExecutorSpec], BatchExecutor]] = {
     SerialExecutor.name: _build_serial,
-    ThreadedExecutor.name: _build_threaded,
     ProcessExecutor.name: _build_process,
-    ShardFanoutExecutor.name: _build_sharded,
 }
 
 
-def register(
-    name: str, factory: Callable[[ExecutorSpec], BatchExecutor]
-) -> None:
-    """Add (or replace) an executor factory under ``name``.
-
-    ``factory`` receives the fully merged :class:`ExecutorSpec` and
-    returns a ready executor; the name becomes valid in every spec
-    string (CLI, env, constructor).
-    """
-    _FACTORIES[name.strip().lower()] = factory
-
-
 def available() -> Tuple[str, ...]:
-    """The registered executor names, sorted."""
+    """The executor names, sorted."""
     return tuple(sorted(_FACTORIES))
 
 
@@ -253,7 +180,7 @@ def create(
 
     An instance passes through untouched; anything else goes through
     :func:`resolve` + :meth:`ExecutorSpec.merged` (keyword overrides win
-    over spec fields) and the registered factory for the name.
+    over spec fields) and the factory for the name.
     """
     if isinstance(spec, BatchExecutor):
         return spec

@@ -8,10 +8,10 @@ page travels through the pipeline as one :class:`PipelineTask`, and each
 stage is a ``(system, task) -> None`` step that reads what earlier stages
 produced and fills in its own slot::
 
-    parse     pure: XML text -> Document        (hoistable to worker threads)
+    parse     pure: XML text -> Document        (hoistable to worker processes)
     load      repository store + version diff   (stateful, input order)
     classify  element-level change classification -> FetchedDocument
-    detect    pure: run every alerter            (hoistable to worker threads)
+    detect    pure: run every alerter            (hoistable to worker processes)
     alert     document accounting + weak/strong gating -> Alert
     match     MQP complex-event matching -> notifications
     route     notification accounting -> FeedResult
@@ -23,10 +23,9 @@ isolation, exactly as ``run_stream`` always promised).  Any other exception
 type is a programming error and propagates.
 
 Executors (:mod:`repro.pipeline.executor`) decide *how* tasks move through
-the stages — strictly one at a time, with the pure stages fanned out over a
-thread pool, or with the match stage sharded — but every executor runs the
-stateful stages in input order, which is what makes them observably
-equivalent.
+the stages — strictly one at a time, or with the pure stages fanned out over
+a process pool — but every executor runs the stateful stages in input
+order, which is what makes them observably equivalent.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from ..xmlstore.parser import parse
 from .stream import Fetch
 
 #: Stage names, in lifecycle order.  ``parse`` and ``detect`` are the pure
-#: halves of ``load`` and ``alert`` that executors may run on worker
-#: threads; the serial executor folds them into their stateful partners.
+#: halves of ``load`` and ``alert`` that executors may run in worker
+#: processes; the serial executor folds them into their stateful partners.
 STAGE_PARSE = "parse"
 STAGE_LOAD = "load"
 STAGE_CLASSIFY = "classify"
@@ -84,14 +83,14 @@ class PipelineTask:
     fetch: Fetch
     index: int = 0
     #: Filled by the parse stage (XML only); the load stage reuses it so a
-    #: threaded pre-parse is never repeated.
+    #: worker pre-parse is never repeated.
     document: Optional[Document] = None
     #: Filled by the load stage.
     outcome: Optional[FetchOutcome] = None
     #: Filled by the classify stage.
     fetched: Optional[FetchedDocument] = None
     #: Filled by the detect stage when an executor pre-computes detection on
-    #: a worker thread; the alert stage then only gates and assembles.
+    #: a worker process; the alert stage then only gates and assembles.
     detection: Optional[Detection] = None
     #: A non-ReproError raised by a concurrent detect sweep, re-raised at
     #: the task's ordered position so propagation matches the serial path.
@@ -130,7 +129,7 @@ class PipelineTask:
 
 
 def parse_stage(task: PipelineTask) -> PipelineTask:
-    """Pure XML parsing, safe on worker threads (no shared state).
+    """Pure XML parsing, safe in worker processes (no shared state).
 
     Failures — of any exception type — are parked on the error slot; the
     load stage re-raises non-ReproErrors at the task's ordered position so

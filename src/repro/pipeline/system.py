@@ -15,7 +15,7 @@ Documents travel through the staged pipeline of
 
 This is the facade examples and integration tests use::
 
-    system = SubscriptionSystem(executor="threaded", batch_size=64)
+    system = SubscriptionSystem(executor="process:workers=4", batch_size=64)
     system.subscribe('subscription S ...', owner_email='user@example.org')
     system.feed_xml('http://site/catalog.xml', '<catalog>...</catalog>')
     system.run_stream(crawler.due_fetches())

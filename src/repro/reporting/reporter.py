@@ -28,7 +28,7 @@ from ..observability.names import (
     COUNTER_REPORTS_GENERATED,
     STAGE_REPORTER_TICK,
 )
-from ..observability.tracing import StageTracer
+from ..observability.tracing import stage_histogram
 from ..language.frequencies import period_seconds
 from ..xmlstore.nodes import Document, ElementNode
 from ..xmlstore.serializer import serialize
@@ -85,8 +85,8 @@ class Reporter:
     ):
         self.clock = clock if clock is not None else SimulatedClock()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._tick_latency = StageTracer(self.metrics).stage_histogram(
-            STAGE_REPORTER_TICK
+        self._tick_latency = stage_histogram(
+            self.metrics, STAGE_REPORTER_TICK
         )
         self._reports = self.metrics.counter(COUNTER_REPORTS_GENERATED)
         self.email_sink = (

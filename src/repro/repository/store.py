@@ -37,7 +37,7 @@ from ..observability.names import (
     STAGE_REPOSITORY_STORE_HTML,
     STAGE_REPOSITORY_STORE_XML,
 )
-from ..observability.tracing import StageTracer
+from ..observability.tracing import stage_histogram
 from ..xmlstore.nodes import Document
 from ..xmlstore.parser import parse
 from .index import WarehouseIndexes
@@ -89,10 +89,11 @@ class Repository:
         )
         self.clock = clock if clock is not None else SimulatedClock()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        tracer = StageTracer(self.metrics)
-        self._xml_latency = tracer.stage_histogram(STAGE_REPOSITORY_STORE_XML)
-        self._html_latency = tracer.stage_histogram(
-            STAGE_REPOSITORY_STORE_HTML
+        self._xml_latency = stage_histogram(
+            self.metrics, STAGE_REPOSITORY_STORE_XML
+        )
+        self._html_latency = stage_histogram(
+            self.metrics, STAGE_REPOSITORY_STORE_HTML
         )
         self.indexes = WarehouseIndexes()
         self.keep_versions = max(1, keep_versions)

@@ -29,7 +29,7 @@ from ..observability.names import (
     COUNTER_TRIGGER_EVALUATIONS,
     STAGE_TRIGGERS_TICK,
 )
-from ..observability.tracing import StageTracer
+from ..observability.tracing import stage_histogram
 from ..language.frequencies import period_seconds
 from ..query.engine import QueryEngine
 from ..xmlstore.nodes import Document, ElementNode
@@ -74,8 +74,8 @@ class TriggerEngine:
         self.clock = clock if clock is not None else SimulatedClock()
         self.answer_store = answer_store
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._tick_latency = StageTracer(self.metrics).stage_histogram(
-            STAGE_TRIGGERS_TICK
+        self._tick_latency = stage_histogram(
+            self.metrics, STAGE_TRIGGERS_TICK
         )
         self._evaluations = self.metrics.counter(COUNTER_TRIGGER_EVALUATIONS)
         self.stats = TriggerStats()

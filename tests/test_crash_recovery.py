@@ -8,7 +8,7 @@ Two halves of the robustness story that the fault injector cannot reach:
   :meth:`~repro.subscription.manager.SubscriptionManager.recover`
   restores every subscription, its inhibition flag and its refresh
   hints;
-* a *worker* crash inside a concurrent executor must degrade the batch
+* a *worker* crash inside the process executor must degrade the batch
   to the serial path (counted under ``executor.fallbacks``) instead of
   aborting the stream, with results identical to a serial run.
 """
@@ -19,12 +19,7 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.minisql import Database
-from repro.pipeline import (
-    Fetch,
-    ShardFanoutExecutor,
-    SubscriptionSystem,
-    ThreadedExecutor,
-)
+from repro.pipeline import Fetch, ProcessExecutor, SubscriptionSystem
 
 SOURCE = """
 subscription Recovery
@@ -139,30 +134,16 @@ def notification_keys(results):
 
 
 class TestDegradedExecutors:
-    def test_threaded_worker_crash_falls_back_to_serial(self):
-        executor = ThreadedExecutor(max_workers=4)
-        system = build_system(executor)
+    def test_sharded_worker_crash_falls_back_to_serial(self):
+        """A crashed pool on a 4-shard flow-partitioned system degrades
+        to the serial path with serial-identical results."""
+        executor = ProcessExecutor(workers=2)
+        system = build_system(executor, shards=4)
 
-        def broken_sweep(step, items):
+        def broken_sweep(*args, **kwargs):
             raise RuntimeError("simulated pool crash")
 
-        executor._sweep = broken_sweep
-        baseline = build_system("serial")
-        results = system.run_stream(stream())
-        expected = baseline.run_stream(stream())
-
-        assert notification_keys(results) == notification_keys(expected)
-        assert system.documents_fed == baseline.documents_fed
-        counters = system.metrics_snapshot()["counters"]
-        assert counters["executor.fallbacks{executor=threaded}"] >= 1
-
-    def test_sharded_worker_crash_falls_back_to_serial(self):
-        system = build_system(ShardFanoutExecutor(), shards=4)
-
-        def broken_fanout(alerts):
-            raise RuntimeError("simulated shard worker crash")
-
-        system.processor.match_alert_batch = broken_fanout
+        executor._process_sweep = broken_sweep
         baseline = build_system("serial", shards=4)
         results = system.run_stream(stream())
         expected = baseline.run_stream(stream())
@@ -170,35 +151,39 @@ class TestDegradedExecutors:
         assert notification_keys(results) == notification_keys(expected)
         assert system.documents_fed == baseline.documents_fed
         counters = system.metrics_snapshot()["counters"]
-        assert counters["executor.fallbacks{executor=sharded}"] >= 1
+        assert counters["executor.fallbacks{executor=process}"] >= 1
+        executor.close()
 
     def test_partial_sweep_crash_is_safe_to_rerun(self):
         """A sweep that dies *after* processing some tasks must still
         produce serial-identical results (the stages are idempotent)."""
-        executor = ThreadedExecutor(max_workers=4)
+        executor = ProcessExecutor(workers=2)
         system = build_system(executor)
-        original = executor._sweep
         calls = {"n": 0}
 
-        def flaky_sweep(step, items):
+        def flaky_sweep(worker_fn, requests, apply_fn, extra_args=()):
             calls["n"] += 1
-            # Process half the items, then die mid-sweep.
-            for item in items[: len(items) // 2]:
-                step(item)
+            # Process half the requests, then die mid-sweep.
+            half = requests[: len(requests) // 2]
+            for response in worker_fn(*extra_args, half):
+                apply_fn(response)
             raise RuntimeError("simulated mid-sweep crash")
 
-        executor._sweep = flaky_sweep
+        executor._process_sweep = flaky_sweep
         baseline = build_system("serial")
         results = system.run_stream(stream())
         expected = baseline.run_stream(stream())
 
         assert calls["n"] >= 1
         assert notification_keys(results) == notification_keys(expected)
+        executor.close()
 
     def test_healthy_executors_never_count_fallbacks(self):
-        for executor, shards in (("threaded", 1), ("sharded", 4)):
+        for shards in (1, 4):
+            executor = ProcessExecutor(workers=2)
             system = build_system(executor, shards=shards)
             system.run_stream(stream())
+            executor.close()
             counters = system.metrics_snapshot()["counters"]
             fallback_keys = [
                 key for key in counters if key.startswith("executor.fallbacks")

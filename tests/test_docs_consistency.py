@@ -87,20 +87,35 @@ class TestPipelineDocument:
     def test_migration_table_present(self):
         doc = read("docs/PIPELINE.md")
         assert "## Migration from the pre-registry API" in doc
+        rows = {
+            line.split("|")[0].strip(): line
+            for line in doc.splitlines()
+            if line.startswith("`")
+        }
         for old, new in [
-            ("make_executor", "repro.pipeline.executors.create"),
-            ("--executor threaded --batch-size 64", "threaded:batch=64"),
-            ("EXECUTORS", "available()"),
+            ("`make_executor(\"serial\")`", "create(\"serial\")"),
+            ("`EXECUTORS` table lookup", "available()"),
+            ("`executors.register(name, factory)`", "removed"),
+            ("`executor=\"threaded\"`", "process:workers=N"),
+            ("`executor=\"sharded\"`", "serial"),
+            ("`--executor serial --batch-size 64`", "serial:batch=64"),
         ]:
-            assert old in doc and new in doc, f"migration row {old!r} missing"
+            assert old in rows and new in rows[old], (
+                f"migration row {old!r} missing"
+            )
+        for removed in ("threaded", "sharded", "EXECUTORS", "register"):
+            assert any(
+                removed in old and "removed" in line
+                for old, line in rows.items()
+            ), f"{removed} not recorded as removed"
 
     def test_documented_spec_examples_parse(self):
-        from repro.pipeline.executors import ExecutorSpec
+        from repro.pipeline.executors import ExecutorSpec, available
 
         doc = read("docs/PIPELINE.md")
+        names = "|".join(available())
         specs = re.findall(
-            r"^((?:serial|threaded|process|sharded)(?::[a-z_]+=\w+"
-            r"(?:,[a-z_]+=\w+)*)?)$",
+            rf"^((?:{names})(?::[a-z_]+=\w+(?:,[a-z_]+=\w+)*)?)$",
             doc,
             re.MULTILINE,
         )
@@ -110,13 +125,11 @@ class TestPipelineDocument:
             assert spec.render() == text
 
     def test_documented_spec_keys_match_parser(self):
-        from repro.pipeline.executors import _DETECT_VALUES, _INT_KEYS
+        from repro.pipeline.executors import _KEYS
 
         doc = read("docs/PIPELINE.md")
-        for key in set(_INT_KEYS) | {"detect"}:
+        for key in _KEYS:
             assert f"`{key}`" in doc, f"spec key {key} undocumented"
-        for value in _DETECT_VALUES:
-            assert value in doc
 
     def test_ingest_metrics_mentioned(self):
         from repro.observability.names import (

@@ -7,7 +7,7 @@ Pins the four public-surface promises of the executor/ingest redesign:
 * ``run_stream`` routes through the bounded queue — ``executor.queue_depth``
   can genuinely saturate (peak <= bound, backpressure counted) while the
   rejection semantics of the old eager-chunking path stay bit-identical;
-* ``repro.api`` is the stable facade and the old entry points warn;
+* ``repro.api`` is the stable facade;
 * the asyncio fetch front-end drains a crawler concurrently into the
   same queue.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -29,13 +28,9 @@ from repro.pipeline import (
     IngestSession,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
     SubscriptionSystem,
-    ThreadedExecutor,
     from_pairs,
-    make_executor,
 )
-from repro.pipeline import executor as executor_module
 from repro.pipeline.executors import available, create, resolve
 
 SOURCE = """
@@ -78,13 +73,18 @@ class TestExecutorSpec:
         assert spec.queue == 128
 
     def test_aliases_and_whitespace(self):
-        spec = ExecutorSpec.parse(" threaded : batch_size = 8 , queue_depth=16 ")
-        assert spec == ExecutorSpec(name="threaded", batch=8, queue=16)
+        spec = ExecutorSpec.parse(" Process : batch = 8 , queue=16 ")
+        assert spec == ExecutorSpec(name="process", batch=8, queue=16)
+        # The old key aliases are gone: only the canonical keys parse.
+        for alias in ("batch_size=8", "queue_depth=16"):
+            with pytest.raises(PipelineError, match="unknown executor spec"):
+                ExecutorSpec.parse(f"process:{alias}")
 
     def test_detect_option(self):
-        assert ExecutorSpec.parse("process:detect=local").detect == "local"
-        with pytest.raises(PipelineError):
-            ExecutorSpec.parse("process:detect=sideways")
+        # Detection always runs on the workers; detect= is no longer a key.
+        for value in ("local", "workers"):
+            with pytest.raises(PipelineError, match="unknown executor spec"):
+                ExecutorSpec.parse(f"process:detect={value}")
 
     @pytest.mark.parametrize(
         "bad",
@@ -114,11 +114,8 @@ class TestExecutorSpec:
         assert merged.queue == 256
 
     def test_create_builds_each_registered_executor(self):
-        assert set(available()) >= {"serial", "threaded", "process", "sharded"}
+        assert available() == ("process", "serial")
         assert isinstance(create("serial"), SerialExecutor)
-        assert isinstance(create("sharded"), ShardFanoutExecutor)
-        threaded = create("threaded:workers=3")
-        assert isinstance(threaded, ThreadedExecutor)
         process = create("process:workers=2")
         assert isinstance(process, ProcessExecutor)
         assert process.workers == 2
@@ -128,7 +125,7 @@ class TestExecutorSpec:
         with pytest.raises(PipelineError):
             create("serial:workers=2")
         with pytest.raises(PipelineError):
-            create("threaded:detect=local")
+            create("serial:watchdog=5")
         with pytest.raises(PipelineError):
             create("quantum")
 
@@ -138,9 +135,10 @@ class TestPrecedence:
 
     def test_spec_fields_configure_system(self):
         system = SubscriptionSystem(
-            clock=SimulatedClock(0.0), executor="threaded:batch=16,queue=48"
+            clock=SimulatedClock(0.0),
+            executor="process:workers=1,batch=16,queue=48",
         )
-        assert isinstance(system.executor, ThreadedExecutor)
+        assert isinstance(system.executor, ProcessExecutor)
         assert system.batch_size == 16
         assert system.queue_bound == 48
 
@@ -155,13 +153,13 @@ class TestPrecedence:
         assert system.queue_bound == 24
 
     def test_env_spec_used_when_no_spec_given(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "threaded:workers=2,batch=5")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process:workers=1,batch=5")
         system = SubscriptionSystem(clock=SimulatedClock(0.0))
-        assert isinstance(system.executor, ThreadedExecutor)
+        assert isinstance(system.executor, ProcessExecutor)
         assert system.batch_size == 5
 
     def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "threaded")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process:workers=1")
         system = SubscriptionSystem(clock=SimulatedClock(0.0), executor="serial")
         assert isinstance(system.executor, SerialExecutor)
 
@@ -388,29 +386,6 @@ class TestIngestSessionAndFrontend:
             IngestSession(system, batch_size=8, queue_bound=4)
 
 
-class TestDeprecationShim:
-    def test_make_executor_warns_exactly_once(self):
-        executor_module._MAKE_EXECUTOR_WARNED = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = make_executor("serial")
-            second = make_executor("threaded")
-        assert isinstance(first, SerialExecutor)
-        assert isinstance(second, ThreadedExecutor)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.pipeline.executors.create" in str(
-            deprecations[0].message
-        )
-
-    def test_shim_accepts_full_specs(self):
-        executor_module._MAKE_EXECUTOR_WARNED = True  # keep output quiet
-        threaded = make_executor("threaded:workers=2")
-        assert isinstance(threaded, ThreadedExecutor)
-
-
 class TestApiFacade:
     def test_one_stop_import(self):
         from repro import api
@@ -432,20 +407,6 @@ class TestApiFacade:
             "BoundedFetchQueue",
             "ExecutorSpec",
             "ProcessExecutor",
-            "register_executor",
         ):
             assert name in api.__all__
             assert hasattr(api, name)
-
-    def test_register_round_trip(self):
-        from repro.pipeline import executors
-
-        class EchoExecutor(SerialExecutor):
-            name = "echo"
-
-        executors.register("echo", lambda spec: EchoExecutor())
-        try:
-            assert "echo" in executors.available()
-            assert isinstance(executors.create("echo"), EchoExecutor)
-        finally:
-            executors._FACTORIES.pop("echo", None)

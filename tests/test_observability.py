@@ -12,7 +12,7 @@ from repro.observability import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    StageTracer,
+    stage_histogram,
 )
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -22,7 +22,7 @@ from repro.observability.metrics import (
     split_key,
 )
 from repro.observability.names import ALL_METRIC_NAMES, STAGE_NAMES
-from repro.pipeline import Fetch, SubscriptionSystem
+from repro.pipeline import Fetch, SerialExecutor, SubscriptionSystem
 from repro.webworld import SiteGenerator
 
 SOURCE = """
@@ -95,65 +95,67 @@ class TestPrimitives:
 
 
 class TestDeterministicTracing:
-    """Spans over a SimulatedClock-backed registry time *exactly*."""
+    """Stage latencies over a SimulatedClock-backed registry are *exact*."""
 
     def test_exact_bucket_counts_under_simulated_clock(self):
         clock = SimulatedClock(100.0)
         registry = MetricsRegistry(clock)
-        tracer = StageTracer(registry, keep=8)
+        histogram = stage_histogram(registry, "stage.a")
         # Mid-bucket durations so float arithmetic on clock timestamps can
         # never push an observation across a bucket boundary.
         durations = (0.003, 0.0004, 2.0, 0.0)
         for duration in durations:
-            with tracer.span("stage.a"):
-                clock.advance(duration)
-        histogram = tracer.stage_histogram("stage.a")
+            start = registry.now()
+            clock.advance(duration)
+            histogram.observe(registry.now() - start)
+        assert stage_histogram(registry, "stage.a") is histogram  # interned
         snap = histogram.snapshot()
         assert snap["count"] == len(durations)
         assert snap["sum"] == pytest.approx(sum(durations))
         expected = {format_bound(b): 0 for b in DEFAULT_LATENCY_BUCKETS}
         expected["+Inf"] = 0
         expected["0.005"] = 1   # 0.003
-        expected["0.0005"] = 2  # 0.0004 and the zero-length span
+        expected["0.0005"] = 2  # 0.0004 and the zero-length stage
         expected["5.0"] = 1     # 2.0
         assert snap["buckets"] == expected
 
     def test_span_records_exact_start_end(self):
         clock = SimulatedClock(50.0)
-        tracer = StageTracer(MetricsRegistry(clock), keep=4)
-        with tracer.span("stage.b", shard="1"):
-            clock.advance(1.5)
-        (span,) = tracer.recent()
-        assert (span.stage, span.start, span.end) == ("stage.b", 50.0, 51.5)
-        assert span.duration == 1.5
-        assert span.labels == {"shard": "1"}
+        registry = MetricsRegistry(clock)
+        histogram = stage_histogram(registry, "stage.b", shard="1")
+        start = registry.now()
+        clock.advance(1.5)
+        end = registry.now()
+        histogram.observe(end - start)
+        assert (start, end) == (50.0, 51.5)
+        snap = registry.snapshot()["histograms"][
+            "stage.b.latency_seconds{shard=1}"
+        ]
+        assert (snap["count"], snap["sum"]) == (1, 1.5)
 
     def test_span_closes_on_exception(self):
+        """A batch whose executor raises is still timed (the system closes
+        its ``executor.run_batch`` stage in a ``finally``)."""
         clock = SimulatedClock()
-        tracer = StageTracer(MetricsRegistry(clock), keep=4)
-        with pytest.raises(RuntimeError):
-            with tracer.span("stage.c"):
+        registry = MetricsRegistry(clock)
+
+        class Boom(SerialExecutor):
+            name = "boom"
+
+            def run_batch(self, system, tasks, stop_on_error=False):
                 clock.advance(0.25)
                 raise RuntimeError("boom")
-        histogram = tracer.stage_histogram("stage.c")
+
+        system = SubscriptionSystem(
+            clock=clock, metrics=registry, executor=Boom()
+        )
+        with pytest.raises(RuntimeError):
+            system.feed_batch([Fetch("http://x.example/a.xml", "<r/>")])
+        histogram = stage_histogram(
+            registry, "executor.run_batch", executor="boom"
+        )
         assert histogram.count == 1
         assert histogram.snapshot()["buckets"]["0.5"] == 1
-
-    def test_retention_ring_is_bounded(self):
-        clock = SimulatedClock()
-        tracer = StageTracer(MetricsRegistry(clock), keep=2)
-        for _ in range(5):
-            with tracer.span("stage.d"):
-                clock.advance(0.001)
-        assert len(tracer.recent()) == 2
-        assert tracer.stage_histogram("stage.d").count == 5
-
-    def test_default_tracer_keeps_no_spans(self):
-        clock = SimulatedClock()
-        tracer = StageTracer(MetricsRegistry(clock))
-        with tracer.span("stage.e"):
-            pass
-        assert tracer.recent() == []
 
 
 class TestNullRegistryNeutrality:

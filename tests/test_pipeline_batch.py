@@ -14,12 +14,11 @@ from repro.clock import SimulatedClock
 from repro.errors import PipelineError, XMLSyntaxError
 from repro.pipeline import (
     Fetch,
+    ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
     SubscriptionSystem,
-    ThreadedExecutor,
     chunked,
-    make_executor,
+    create,
 )
 
 SOURCE = """
@@ -120,31 +119,33 @@ class TestChunked:
             list(chunked([], 0))
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestMakeExecutor:
-    """The deprecated shim still resolves everything it used to.
-
-    (The warning itself is pinned in test_ingest_api.py.)
-    """
+    """Building an executor from a name, an instance or the environment."""
 
     def test_names_resolve(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threaded"), ThreadedExecutor)
-        assert isinstance(make_executor("sharded"), ShardFanoutExecutor)
+        assert isinstance(create("serial"), SerialExecutor)
+        process = create("process:workers=1")
+        assert isinstance(process, ProcessExecutor)
+        process.close()
 
     def test_instance_passes_through(self):
-        executor = ThreadedExecutor(max_workers=2)
-        assert make_executor(executor) is executor
+        executor = ProcessExecutor(workers=1)
+        assert create(executor) is executor
 
     def test_unknown_name_raises(self):
-        with pytest.raises(PipelineError):
-            make_executor("quantum")
+        # The deleted executors are unknown names like any other.
+        for name in ("quantum", "threaded", "sharded"):
+            with pytest.raises(PipelineError) as caught:
+                create(name)
+            assert str(caught.value) == (
+                f"unknown executor {name!r} (choose from process, serial)"
+            )
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "threaded")
-        assert isinstance(make_executor(None), ThreadedExecutor)
+        monkeypatch.setenv("REPRO_EXECUTOR", "process:workers=1")
+        assert isinstance(create(None), ProcessExecutor)
         monkeypatch.delenv("REPRO_EXECUTOR")
-        assert isinstance(make_executor(None), SerialExecutor)
+        assert isinstance(create(None), SerialExecutor)
 
     def test_system_rejects_bad_batch_size(self):
         with pytest.raises(PipelineError):
@@ -251,42 +252,17 @@ class TestSerialBatchEquivalence:
         assert_equivalent(one_batch, small_batches)
 
 
-class TestThreadedExecutorEquivalence:
-    def test_matches_serial(self):
-        stream = make_stream(malformed=True)
-        serial = build_system(executor="serial")
-        serial_results = serial.run_stream(iter(stream), batch_size=8)
-        threaded = build_system(executor=ThreadedExecutor(max_workers=4))
-        threaded_results = threaded.run_stream(iter(stream), batch_size=8)
-        assert notification_keys(threaded_results) == notification_keys(
-            serial_results
-        )
-        assert_equivalent(serial, threaded)
-        threaded.executor.close()
-
-    def test_strict_mode_matches_serial(self):
-        stream = [
-            Fetch("http://www.shop0.example/a.xml", "<r/>"),
-            Fetch("http://www.shop0.example/bad.xml", "<r><boom>"),
-            Fetch("http://www.shop0.example/late.xml", "<r/>"),
-        ]
-        system = build_system(executor="threaded")
-        with pytest.raises(XMLSyntaxError):
-            system.feed_batch(stream, skip_malformed=False)
-        assert system.documents_fed == 1
-        assert not system.repository.has_url(
-            "http://www.shop0.example/late.xml"
-        )
-        system.executor.close()
-
-
 class TestShardFanoutEquivalence:
+    """Fanning documents out over a flow-partitioned MQP (``shards=N``)
+    leaves the process executor serial-equivalent."""
+
     def test_matches_serial_on_sharded_system(self):
         stream = make_stream(rounds=4, sites=8, malformed=True)
         serial = build_system(executor="serial", shards=3)
         serial_results = serial.run_stream(iter(stream), batch_size=16)
-        fanout = build_system(executor="sharded", shards=3)
+        fanout = build_system(executor="process:workers=2", shards=3)
         fanout_results = fanout.run_stream(iter(stream), batch_size=16)
+        fanout.executor.close()
         assert notification_keys(fanout_results) == notification_keys(
             serial_results
         )
@@ -297,9 +273,11 @@ class TestShardFanoutEquivalence:
         )
 
     def test_degrades_to_serial_on_single_shard(self):
+        # One shard is the plain MQP: the sharded facade collapses away.
         stream = make_stream()
         serial = build_system(executor="serial")
         serial.feed_batch(stream)
-        fanout = build_system(executor="sharded")
+        fanout = build_system(executor="process:workers=2", shards=1)
         fanout.feed_batch(stream)
+        fanout.executor.close()
         assert_equivalent(serial, fanout)

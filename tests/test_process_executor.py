@@ -201,15 +201,6 @@ class TestProcessExecutor:
         assert executor._pool is None
         executor.close()
 
-    def test_detect_locally_matches(self, pool):
-        serial = build_system("serial")
-        expected = summarize(serial, serial.run_stream(from_pairs(sample_pages())))
-        local = ProcessExecutor(workers=3, detect_locally=True)
-        system = build_system(local)
-        actual = summarize(system, system.run_stream(from_pairs(sample_pages())))
-        local.close()
-        assert actual == expected
-
     def test_broken_pool_falls_back_to_serial(self):
         serial = build_system("serial")
         expected = summarize(

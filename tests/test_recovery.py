@@ -612,7 +612,7 @@ class TestWatchdog:
         assert executor.watchdog == 30
         executor.close()
 
-    @pytest.mark.parametrize("name", ["serial", "threaded", "sharded"])
+    @pytest.mark.parametrize("name", ["serial"])
     def test_other_executors_reject_watchdog(self, name):
         from repro.pipeline.executors import create
 
