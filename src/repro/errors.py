@@ -17,7 +17,7 @@ class XMLError(ReproError):
 
 
 class XMLSyntaxError(XMLError):
-    """Raised when the XML tokenizer or parser rejects its input.
+    """Raised when the expat tree builder rejects its input.
 
     Carries ``line`` and ``column`` attributes (1-based) pointing at the
     offending position when they are known.

@@ -1,4 +1,4 @@
-"""XML substrate: tokenizer, parser, node model, serializer, paths, words.
+"""XML substrate: expat tree builder, node model, serializer, paths, words.
 
 This package replaces the C++ DOM / libxml layer of the original Xyleme
 system.  Public surface:

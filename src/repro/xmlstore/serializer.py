@@ -11,8 +11,14 @@ from typing import List, Union
 
 from .nodes import Document, ElementNode, Node, TextNode
 
-_TEXT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")]
-_ATTR_ESCAPES = _TEXT_ESCAPES + [('"', "&quot;")]
+# A conformant parser turns a raw CR into LF, and tab, LF or CR inside an
+# attribute value into a space; character references survive both.
+_TEXT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;")]
+_ATTR_ESCAPES = _TEXT_ESCAPES + [
+    ('"', "&quot;"),
+    ("\t", "&#9;"),
+    ("\n", "&#10;"),
+]
 
 
 def escape_text(data: str) -> str:

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.pipeline import Fetch
+from repro.pipeline import Fetch, SubscriptionSystem
+
+
+def nested(depth, word):
+    return (
+        "".join(f"<n{i}>" for i in range(depth))
+        + word
+        + "".join(f"</n{i}>" for i in reversed(range(depth)))
+    )
 
 
 class TestMalformedPages:
@@ -50,12 +58,35 @@ class TestMalformedPages:
 
 class TestHostileContent:
     def test_deeply_nested_document(self, system):
-        depth = 200
-        source = "".join(f"<n{i}>" for i in range(depth))
-        source += "x"
-        source += "".join(f"</n{i}>" for i in reversed(range(depth)))
-        result = system.feed_xml("http://deep.example/p.xml", source)
+        result = system.feed_xml("http://deep.example/p.xml", nested(200, "x"))
         assert result.outcome.status == "new"
+
+    @pytest.mark.parametrize("executor", ["serial", "process:workers=2,batch=4"])
+    def test_too_deep_page_rejected_without_aborting_stream(
+        self, classifier, clock, executor
+    ):
+        system = SubscriptionSystem(
+            clock=clock, classifier=classifier, executor=executor
+        )
+        try:
+            system.run_stream(
+                [
+                    Fetch("http://ok.example/a.xml", "<r>a</r>"),
+                    Fetch("http://deep.example/p.xml", nested(500, "one")),
+                    Fetch("http://ok.example/b.xml", "<r>b</r>"),
+                ]
+            )
+            clock.advance(60)
+            system.run_stream(
+                [
+                    Fetch("http://deep.example/p.xml", nested(500, "two")),
+                    Fetch("http://ok.example/c.xml", "<r>c</r>"),
+                ]
+            )
+        finally:
+            system.executor.close()
+        assert system.documents_rejected == 2
+        assert system.documents_fed == 3
 
     def test_huge_flat_document(self, system):
         source = "<r>" + "<item>x</item>" * 5_000 + "</r>"

@@ -16,7 +16,7 @@ text_data = st.text(
     max_size=40,
 ).filter(lambda s: s.strip())
 attr_values = st.text(
-    alphabet=string.ascii_letters + string.digits + " <>&\"'",
+    alphabet=string.ascii_letters + string.digits + " <>&\"'\t\n\r",
     max_size=20,
 )
 
