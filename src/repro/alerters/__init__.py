@@ -10,7 +10,7 @@
 """
 
 from .base import Alerter
-from .chain import AlerterChain, DetectorState, merge_detections
+from .chain import AlerterChain
 from .context import FetchedDocument
 from .html_alerter import HTMLAlerter, strip_markup
 from .url_alerter import URLAlerter
@@ -20,9 +20,7 @@ from .xml_alerter import XMLAlerter
 __all__ = [
     "Alerter",
     "AlerterChain",
-    "DetectorState",
     "FetchedDocument",
-    "merge_detections",
     "HTMLAlerter",
     "strip_markup",
     "URLAlerter",

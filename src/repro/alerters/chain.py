@@ -15,9 +15,7 @@ In this case only, an alert ... is sent."
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.events import AtomicEventKey, WEAK_KINDS
 from ..core.processor import Alert
@@ -34,48 +32,6 @@ from .context import FetchedDocument
 from .html_alerter import HTMLAlerter
 from .url_alerter import URLAlerter
 from .xml_alerter import XMLAlerter
-
-
-def merge_detections(
-    alerters: Sequence[Alerter], fetched: FetchedDocument
-) -> Tuple[Set[int], Dict[int, Any]]:
-    """Run every alerter over one document and merge the detections.
-
-    Pure: only the registered pattern tables are read, so the same
-    function serves the in-process chain and the process-pool workers
-    (which run it over a pickled :class:`DetectorState` snapshot).
-    """
-    codes: Set[int] = set()
-    data: Dict[int, Any] = {}
-    for alerter in alerters:
-        detected, payload = alerter.detect(fetched)
-        codes |= detected
-        data.update(payload)
-    return codes, data
-
-
-#: Process-unique serial per chain, so a worker-side detector cache can
-#: never confuse snapshots of two different chains (id() values can be
-#: recycled after garbage collection; these serials never are).
-_CHAIN_SERIALS = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class DetectorState:
-    """A picklable snapshot of one chain's pure detection tables.
-
-    ``token`` is ``(chain serial, chain version)``: it changes whenever a
-    registration changes, so worker processes can cache the unpickled
-    snapshot and only rebuild when the chain actually changed.
-    """
-
-    token: Tuple[int, int]
-    alerters: Tuple[Alerter, ...]
-
-    def detect_events(
-        self, fetched: FetchedDocument
-    ) -> Tuple[Set[int], Dict[int, Any]]:
-        return merge_detections(self.alerters, fetched)
 
 
 class AlerterChain:
@@ -98,10 +54,6 @@ class AlerterChain:
         #: Codes of weak events currently registered (for gating).
         self._weak_codes: Set[int] = set()
         self._registered: Dict[int, List[Alerter]] = {}
-        #: Bumped on every (un)registration; ``detector_state`` tokens
-        #: embed it so stale worker-side snapshots are never reused.
-        self.version = 0
-        self._serial = next(_CHAIN_SERIALS)
 
     # -- registration -----------------------------------------------------------
 
@@ -116,7 +68,6 @@ class AlerterChain:
         self._registered[code] = targets
         if key.kind in WEAK_KINDS:
             self._weak_codes.add(code)
-        self.version += 1
 
     def unregister(self, code: int, key: AtomicEventKey) -> None:
         targets = self._registered.pop(code, None)
@@ -125,14 +76,6 @@ class AlerterChain:
         for alerter in targets:
             alerter.unregister(code, key)
         self._weak_codes.discard(code)
-        self.version += 1
-
-    def detector_state(self) -> DetectorState:
-        """Snapshot the pure detection tables for out-of-process use."""
-        return DetectorState(
-            token=(self._serial, self.version),
-            alerters=tuple(self.alerters),
-        )
 
     # -- detection ----------------------------------------------------------------
 
@@ -141,32 +84,28 @@ class AlerterChain:
         (or nothing) fired."""
         start = self.metrics.now()
         codes, data = self.detect_events(fetched)
-        return self._finish(self.assemble_alert(fetched, codes, data), start)
+        alert = self.assemble_alert(fetched, codes, data)
+        self._latency.observe(self.metrics.now() - start)
+        if alert is not None:
+            self._built.inc()
+        else:
+            self._suppressed.inc()
+        return alert
 
     def detect_events(
         self, fetched: FetchedDocument
     ) -> Tuple[Set[int], Dict[int, Any]]:
         """Run every alerter over one document and merge the detections.
 
-        This is the pure, read-only half of :meth:`build_alert`: it only
-        reads the registered pattern tables, so executors may run it
-        concurrently across documents on worker threads (or, via
-        :meth:`detector_state`, in worker processes).
+        Read-only: only the registered pattern tables are consulted.
         """
-        return merge_detections(self.alerters, fetched)
-
-    def finish_alert(
-        self,
-        fetched: FetchedDocument,
-        detection: Tuple[Set[int], Dict[int, Any]],
-    ) -> Optional[Alert]:
-        """Gate and assemble a pre-computed detection (second half of
-        :meth:`build_alert` for executors that ran :meth:`detect_events` on
-        a worker thread); metric counts match :meth:`build_alert` exactly.
-        """
-        start = self.metrics.now()
-        codes, data = detection
-        return self._finish(self.assemble_alert(fetched, codes, data), start)
+        codes: Set[int] = set()
+        data: Dict[int, Any] = {}
+        for alerter in self.alerters:
+            detected, payload = alerter.detect(fetched)
+            codes |= detected
+            data.update(payload)
+        return codes, data
 
     def assemble_alert(
         self,
@@ -185,11 +124,3 @@ class AlerterChain:
             event_codes=sorted(codes),
             data=data,
         )
-
-    def _finish(self, alert: Optional[Alert], start: float) -> Optional[Alert]:
-        self._latency.observe(self.metrics.now() - start)
-        if alert is not None:
-            self._built.inc()
-        else:
-            self._suppressed.inc()
-        return alert

@@ -6,7 +6,7 @@ module under one flat namespace::
 
     from repro import api
 
-    system = api.SubscriptionSystem(executor="process:workers=4,batch=64")
+    system = api.SubscriptionSystem(batch_size=64)
     system.subscribe(source, owner_email="me@example.org")
     with api.IngestSession(system) as session:
         session.run_crawl(crawler)
@@ -16,10 +16,8 @@ The groups:
 * **system** — :class:`SubscriptionSystem`, :class:`Fetch`,
   :class:`FeedResult`, the errors;
 * **ingestion** — :class:`IngestSession`, :class:`IngestReport`,
-  :class:`AsyncFetchFrontend`, :class:`BoundedFetchQueue`;
-* **executors** — :class:`ExecutorSpec`, :func:`create_executor`,
-  :func:`available_executors`, and the executor classes themselves for
-  direct construction;
+  :class:`AsyncFetchFrontend`, :class:`BoundedFetchQueue` and
+  :data:`DEFAULT_BATCH_SIZE`;
 * **resilience** — fault injection, retry, breaker and dead-letter types;
 * **recovery** — :class:`RecoveryManager`, :class:`CrashPoint` and the
   kill-point harness behind ``SubscriptionSystem.enable_recovery`` /
@@ -55,21 +53,15 @@ from .recovery import RecoveryManager, RuntimeJournal
 from .observability import MetricsRegistry, NULL_REGISTRY, NullRegistry
 from .pipeline import (
     AsyncFetchFrontend,
-    BatchExecutor,
     BoundedFetchQueue,
     DEFAULT_BATCH_SIZE,
-    ExecutorSpec,
     Fetch,
     FeedResult,
     IngestReport,
     IngestSession,
-    ProcessExecutor,
-    SerialExecutor,
     SubscriptionSystem,
     from_pairs,
 )
-from .pipeline.executors import available as available_executors
-from .pipeline.executors import create as create_executor
 from .webworld import SimulatedCrawler, SiteGenerator
 
 __all__ = [
@@ -87,13 +79,6 @@ __all__ = [
     "IngestReport",
     "AsyncFetchFrontend",
     "BoundedFetchQueue",
-    # executors
-    "ExecutorSpec",
-    "create_executor",
-    "available_executors",
-    "BatchExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
     "DEFAULT_BATCH_SIZE",
     # resilience
     "FaultInjector",

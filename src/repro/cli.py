@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--sites", type=int, default=10)
     demo.add_argument("--days", type=int, default=7)
     demo.add_argument("--seed", type=int, default=7)
-    _add_executor_arguments(demo)
+    _add_batch_arguments(demo)
     _add_fault_arguments(demo)
     demo.add_argument(
         "--metrics-json",
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["flow", "subscriptions"],
         default="flow",
     )
-    _add_executor_arguments(stats)
+    _add_batch_arguments(stats)
     _add_fault_arguments(stats)
     stats.add_argument(
         "--metrics-json",
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--sites", type=int, default=20)
     chaos.add_argument("--days", type=int, default=14)
     chaos.add_argument("--seed", type=int, default=7)
-    _add_executor_arguments(chaos)
+    _add_batch_arguments(chaos)
     chaos.add_argument(
         "--fault-rate",
         type=float,
@@ -197,35 +197,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_executor_arguments(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--executor",
-        metavar="SPEC",
-        default=None,
-        help="executor spec, name[:key=value,...] — e.g. serial,"
-        " process:workers=4, process:workers=4,batch=64,queue=128"
-        " (default: $REPRO_EXECUTOR or serial)",
-    )
+def _add_batch_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--batch-size",
         type=int,
         default=None,
-        help="documents per executor batch; overrides the spec's batch="
-        " field (default: 32)",
-    )
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker lanes for the process executor; overrides"
-        " the spec's workers= field",
+        help="documents per pipeline batch (default: 32)",
     )
     subparser.add_argument(
         "--queue-depth",
         type=int,
         default=None,
-        help="bound of the ingest queue between fetching and the executor;"
-        " overrides the spec's queue= field (default: 2x batch size)",
+        help="bound of the ingest queue between fetching and the pipeline"
+        " (default: 2x batch size)",
     )
 
 
@@ -314,7 +298,8 @@ report when count >= 3
 
 
 def _build_world(
-    sites: int, seed: int, spec, shards: int = 1,
+    sites: int, seed: int, batch_size: Optional[int] = None,
+    queue_depth: Optional[int] = None, shards: int = 1,
     shard_mode: str = "flow", fault_rate: float = 0.0,
     fault_seed: int = 0, database=None, populate: bool = True,
 ):
@@ -331,7 +316,7 @@ def _build_world(
     clock = SimulatedClock(_SIM_START)
     system = SubscriptionSystem(
         clock=clock, shards=shards, shard_mode=shard_mode,
-        executor=spec, database=database,
+        batch_size=batch_size, queue_bound=queue_depth, database=database,
     )
     injector = None
     dead_letters = None
@@ -375,18 +360,15 @@ def _drive_world(system, crawler, end_time: float, step: float) -> None:
 
 def _run_simulation(
     sites: int, days: int, seed: int, shards: int = 1,
-    shard_mode: str = "flow", executor: Optional[str] = None,
-    batch_size: Optional[int] = None, workers: Optional[int] = None,
+    shard_mode: str = "flow", batch_size: Optional[int] = None,
     queue_depth: Optional[int] = None, fault_rate: float = 0.0,
     fault_seed: int = 0, journal: Optional[str] = None,
     checkpoint_every: int = 64,
 ):
     """The shared demo/stats/chaos scenario: crawl ``sites`` for ``days``.
 
-    ``executor`` is a spec string (``process:workers=4,batch=64``);
-    ``batch_size`` / ``workers`` / ``queue_depth`` are the individual
-    flag overrides, which win over the spec's own fields (see
-    :mod:`repro.pipeline.executors` for the precedence rules).
+    ``batch_size`` / ``queue_depth`` configure stream ingestion (``None``
+    keeps the system defaults).
 
     With ``fault_rate`` > 0 the crawl runs under a seeded transient-only
     :class:`~repro.faults.FaultInjector` with a shared dead-letter queue,
@@ -402,11 +384,7 @@ def _run_simulation(
     hangs off ``system.dead_letters``.
     """
     from .minisql import Database
-    from .pipeline.executors import resolve
 
-    spec = resolve(executor).merged(
-        workers=workers, batch=batch_size, queue=queue_depth
-    )
     step = 3600.0 if fault_rate > 0.0 else 86_400.0
     if fault_rate > 0.0:
         # half-day drain so in-flight retries land
@@ -415,8 +393,9 @@ def _run_simulation(
         end_time = _SIM_START + days * 86_400.0
     database = Database(path=journal + ".subs") if journal else None
     system, crawler = _build_world(
-        sites, seed, spec, shards=shards, shard_mode=shard_mode,
-        fault_rate=fault_rate, fault_seed=fault_seed, database=database,
+        sites, seed, batch_size=batch_size, queue_depth=queue_depth,
+        shards=shards, shard_mode=shard_mode, fault_rate=fault_rate,
+        fault_seed=fault_seed, database=database,
     )
     if journal:
         system.enable_recovery(
@@ -426,7 +405,9 @@ def _run_simulation(
             metadata={
                 "cli": {
                     "sites": sites, "seed": seed, "shards": shards,
-                    "shard_mode": shard_mode, "executor": spec.render(),
+                    "shard_mode": shard_mode,
+                    "batch_size": system.batch_size,
+                    "queue_depth": system.queue_bound,
                     "fault_rate": fault_rate, "fault_seed": fault_seed,
                     "checkpoint_every": checkpoint_every,
                     "end_time": end_time, "step": step,
@@ -462,8 +443,7 @@ def _print_fault_summary(system, crawler) -> None:
 def _cmd_demo(args: argparse.Namespace) -> int:
     system, crawler = _run_simulation(
         args.sites, args.days, args.seed,
-        executor=args.executor, batch_size=args.batch_size,
-        workers=args.workers, queue_depth=args.queue_depth,
+        batch_size=args.batch_size, queue_depth=args.queue_depth,
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
         journal=args.journal, checkpoint_every=args.checkpoint_every,
     )
@@ -487,8 +467,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     system, _crawler = _run_simulation(
         args.sites, args.days, args.seed,
         shards=args.shards, shard_mode=args.shard_mode,
-        executor=args.executor, batch_size=args.batch_size,
-        workers=args.workers, queue_depth=args.queue_depth,
+        batch_size=args.batch_size, queue_depth=args.queue_depth,
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
         journal=args.journal, checkpoint_every=args.checkpoint_every,
     )
@@ -534,8 +513,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         system, crawler = _run_simulation(
             args.sites, args.days, args.seed,
-            executor=args.executor, batch_size=args.batch_size,
-            workers=args.workers, queue_depth=args.queue_depth,
+            batch_size=args.batch_size, queue_depth=args.queue_depth,
             fault_rate=args.fault_rate, fault_seed=args.fault_seed,
             journal=args.journal, checkpoint_every=args.checkpoint_every,
         )
@@ -585,7 +563,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     """
     from .minisql import Database
     from .minisql.wal import read_snapshot
-    from .pipeline.executors import ExecutorSpec
 
     snapshot = read_snapshot(args.journal)
     if snapshot is None:
@@ -605,7 +582,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     database = Database.recover(args.journal + ".subs")
     system, crawler = _build_world(
         config["sites"], config["seed"],
-        ExecutorSpec.parse(config["executor"]),
+        batch_size=config.get("batch_size"),
+        queue_depth=config.get("queue_depth"),
         shards=config["shards"], shard_mode=config["shard_mode"],
         fault_rate=config["fault_rate"], fault_seed=config["fault_seed"],
         database=database, populate=False,

@@ -113,7 +113,7 @@ class TriggerError(ReproError):
 
 class PipelineError(ReproError):
     """Raised by the staged ingestion pipeline for configuration mistakes
-    (unknown executor name, non-positive batch size, bad fault plans) and
+    (non-positive batch size or queue bound, bad fault plans) and
     for violated crawler invariants (a page table entry with no content)."""
 
 

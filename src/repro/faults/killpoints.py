@@ -19,10 +19,9 @@ boundaries:
     between writing the checkpoint snapshot and truncating the journal.
 
 :class:`CrashPoint` deliberately subclasses :class:`BaseException`, not
-``ReproError`` — the pipeline's per-document error handling and the
-executors' degraded-mode guards catch ``Exception``/``ReproError``, and
-a simulated process death must sail straight through both, exactly like
-``SIGKILL`` would.
+``ReproError`` — the pipeline's per-document error handling catches
+``ReproError``, and a simulated process death must sail straight through
+it, exactly like ``SIGKILL`` would.
 
 The switch is a process-global so the CLI, the system and the tests all
 see the same one; ``install(point, at=n)`` arms it for the *n*-th hit of

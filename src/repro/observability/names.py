@@ -61,23 +61,20 @@ COUNTER_NOTIFICATIONS_EMITTED = "pipeline.notifications_emitted"
 COUNTER_FAULTS_INJECTED = "faults.injected"  # label: kind
 COUNTER_RETRY_ATTEMPTS = "retry.attempts"
 COUNTER_BREAKER_STATE_CHANGES = "breaker.state_changes"  # label: to
-COUNTER_EXECUTOR_FALLBACKS = "executor.fallbacks"  # label: executor
 COUNTER_DLQ_QUARANTINED = "dlq.quarantined"  # label: source
 
 # Bounded-ingest counters (the queue between the fetch front-end and the
-# batch executor, ``repro.pipeline.ingest``): they appear only when a
+# batch loop, ``repro.pipeline.ingest``): they appear only when a
 # stream actually runs through the bounded queue.
 COUNTER_INGEST_BACKPRESSURE_WAITS = "ingest.backpressure_waits"
 COUNTER_FRONTEND_FETCHES = "frontend.fetches"
 
 # Crash-recovery counters (``repro.recovery``): lazily interned — they
-# appear only when recovery is enabled on a system (or a process worker
-# hits its watchdog), so zero-recovery snapshots are byte-identical to
-# systems without a journal.
+# appear only when recovery is enabled on a system, so zero-recovery
+# snapshots are byte-identical to systems without a journal.
 COUNTER_RECOVERY_CHECKPOINTS = "recovery.checkpoints"
 COUNTER_RECOVERY_REPLAYED = "recovery.replayed"
 COUNTER_RECOVERY_DEDUPED = "recovery.deduped"
-COUNTER_EXECUTOR_WATCHDOG_TIMEOUTS = "executor.watchdog_timeouts"
 
 COUNTER_NAMES: Tuple[str, ...] = (
     COUNTER_REPOSITORY_OUTCOMES,
@@ -92,14 +89,12 @@ COUNTER_NAMES: Tuple[str, ...] = (
     COUNTER_FAULTS_INJECTED,
     COUNTER_RETRY_ATTEMPTS,
     COUNTER_BREAKER_STATE_CHANGES,
-    COUNTER_EXECUTOR_FALLBACKS,
     COUNTER_DLQ_QUARANTINED,
     COUNTER_INGEST_BACKPRESSURE_WAITS,
     COUNTER_FRONTEND_FETCHES,
     COUNTER_RECOVERY_CHECKPOINTS,
     COUNTER_RECOVERY_REPLAYED,
     COUNTER_RECOVERY_DEDUPED,
-    COUNTER_EXECUTOR_WATCHDOG_TIMEOUTS,
 )
 
 # -- gauges ------------------------------------------------------------------

@@ -7,7 +7,7 @@ simulated web: ``concurrency`` coroutines pull due fetches from a
 :class:`~repro.webworld.crawler.SimulatedCrawler`, optionally await a
 simulated network latency, and push each completed fetch into a
 :class:`~repro.pipeline.ingest.BoundedFetchQueue`.  The queue's bound is
-the only coupling to the pipeline: when the executor falls behind, puts
+the only coupling to the pipeline: when the pipeline falls behind, puts
 block, the coroutines stall, and acquisition throttles itself.
 
 ``crawler.due_fetches()`` is a stateful generator (retry/breaker logic

@@ -8,21 +8,19 @@ slow side.  This module is that seam for the reproduction:
 * :class:`BoundedFetchQueue` — a thread-safe queue of
   :class:`~repro.pipeline.stream.Fetch` items with a hard bound.
   Producers block when the queue is full (each blocking put is counted
-  under ``ingest.backpressure_waits``), so a slow executor throttles the
+  under ``ingest.backpressure_waits``), so a slow pipeline throttles the
   fetch rate instead of buffering the crawl; the
   ``executor.queue_depth`` gauge tracks the depth and can therefore
   actually saturate at the bound.
-* :class:`IngestSession` — the unified front door for feeding documents.
-  ``feed`` / ``feed_batch`` / ``run`` / ``run_crawl`` replace the
-  overlapping constructor kwargs, env vars and CLI flags that accreted
-  across PRs 1–3 with one object configured by a single
-  :class:`~repro.pipeline.executors.ExecutorSpec`.
+* :class:`IngestSession` — the front door for feeding documents:
+  ``feed`` / ``feed_batch`` / ``run`` / ``run_crawl`` with one batch size,
+  queue bound and rejection policy.
 
-``SubscriptionSystem.run_stream`` now routes through an
-:class:`IngestSession` (a feeder thread fills the bounded queue while the
-executor drains it), so every stream — plain iterables and the asyncio
-fetch front-end alike — gets the same backpressure and the same
-per-document rejection semantics as before.
+``SubscriptionSystem.run_stream`` routes through an :class:`IngestSession`
+(a feeder thread fills the bounded queue while the calling thread drains
+it in batches), so every stream — plain iterables and the asyncio fetch
+front-end alike — gets the same backpressure and the same per-document
+rejection semantics.
 """
 
 from __future__ import annotations
@@ -65,9 +63,9 @@ class BoundedFetchQueue:
     One producer side (``put`` / ``close`` / ``fail``), one consumer side
     (``next_batch``).  ``put`` blocks while the queue holds ``bound``
     items; ``next_batch`` blocks until a full batch is available or the
-    stream ends, and re-raises a producer failure after the full batches
-    before it have been served (matching the old ``chunked`` semantics,
-    where a stream error lost only the partially accumulated batch).
+    stream ends.  A producer failure is re-raised after the full batches
+    buffered before it have been served: a stream error loses only the
+    partially accumulated batch.
     """
 
     def __init__(self, bound: int, metrics: Optional[Any] = None):
@@ -173,8 +171,7 @@ class BoundedFetchQueue:
             if batch is not None:
                 return batch
             if self._failure is not None:
-                # The partially accumulated tail is lost, exactly as it
-                # was with eager chunking.
+                # The partially accumulated tail is lost.
                 self._items.clear()
                 raise self._failure
             return None
@@ -183,23 +180,18 @@ class BoundedFetchQueue:
 class IngestSession:
     """One configured way of feeding documents into a system.
 
-    Unifies the feeding surface that previously spread across
-    ``feed``/``feed_batch``/``run_stream`` keyword arguments::
+    Unifies the feeding surface of ``feed``/``feed_batch``/``run_stream``::
 
         from repro.api import IngestSession, SubscriptionSystem
 
-        system = SubscriptionSystem(executor="process:workers=4")
+        system = SubscriptionSystem()
         with IngestSession(system, batch_size=64, queue_bound=128) as s:
             s.run(stream)                  # any iterable of Fetch items
             s.run_crawl(crawler)           # asyncio fetch front-end
             print(s.last_report)
 
-    ``batch_size`` / ``queue_bound`` / ``skip_malformed`` default to the
-    system's configuration (itself derived from its
-    :class:`~repro.pipeline.executors.ExecutorSpec`).  Closing the
-    session releases the executor's worker pool only when
-    ``own_executor=True`` (the session was handed a system built just
-    for it).
+    ``batch_size`` / ``queue_bound`` default to the system's
+    configuration.
     """
 
     def __init__(
@@ -209,7 +201,6 @@ class IngestSession:
         batch_size: Optional[int] = None,
         queue_bound: Optional[int] = None,
         skip_malformed: bool = True,
-        own_executor: bool = False,
     ):
         self.system = system
         self.batch_size = (
@@ -232,18 +223,17 @@ class IngestSession:
                 f" ({self.batch_size}) or full batches could never form"
             )
         self.skip_malformed = skip_malformed
-        self.own_executor = own_executor
         self.last_report: Optional[IngestReport] = None
 
     # -- single documents and prebuilt batches ----------------------------
 
     def feed(self, fetch: Fetch) -> FeedResult:
-        """One document, no executor, failures propagate (as ``feed``
-        always did)."""
+        """One document, no batch metrics, failures propagate (as
+        ``feed`` always did)."""
         return self.system.feed(fetch)
 
     def feed_batch(self, fetches: Iterable[Fetch]) -> List[FeedResult]:
-        """One prebuilt batch through the configured executor."""
+        """One prebuilt batch, with this session's rejection policy."""
         return self.system.feed_batch(
             fetches, skip_malformed=self.skip_malformed
         )
@@ -256,8 +246,7 @@ class IngestSession:
         A feeder thread fills the queue (blocking at ``queue_bound``)
         while this thread drains batches of ``batch_size`` into
         ``feed_batch`` — so ``executor.queue_depth`` reflects real
-        buffering and saturates at the bound instead of batches being
-        chunked back-to-back.
+        buffering and saturates at the bound.
         """
 
         def produce(queue: BoundedFetchQueue) -> None:
@@ -364,13 +353,11 @@ class IngestSession:
         return results
 
     # -- lifecycle --------------------------------------------------------
-
-    def close(self) -> None:
-        if self.own_executor:
-            self.system.executor.close()
+    #
+    # A session holds no resources; the context-manager form only scopes it.
 
     def __enter__(self) -> "IngestSession":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        return None

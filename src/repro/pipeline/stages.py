@@ -8,11 +8,9 @@ page travels through the pipeline as one :class:`PipelineTask`, and each
 stage is a ``(system, task) -> None`` step that reads what earlier stages
 produced and fills in its own slot::
 
-    parse     pure: XML text -> Document        (hoistable to worker processes)
-    load      repository store + version diff   (stateful, input order)
+    load      parse + repository store + version diff
     classify  element-level change classification -> FetchedDocument
-    detect    pure: run every alerter            (hoistable to worker processes)
-    alert     document accounting + weak/strong gating -> Alert
+    alert     document accounting + alerters + weak/strong gating -> Alert
     match     MQP complex-event matching -> notifications
     route     notification accounting -> FeedResult
 
@@ -22,34 +20,29 @@ malformed page cannot take down its neighbours (per-document error
 isolation, exactly as ``run_stream`` always promised).  Any other exception
 type is a programming error and propagates.
 
-Executors (:mod:`repro.pipeline.executor`) decide *how* tasks move through
-the stages — strictly one at a time, or with the pure stages fanned out over
-a process pool — but every executor runs the stateful stages in input
-order, which is what makes them observably equivalent.
+:meth:`~repro.pipeline.system.SubscriptionSystem.feed_batch` runs every
+task through :data:`LIFECYCLE` one at a time, in input order, so a batch
+produces exactly what feeding its pages one by one would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..alerters.context import FetchedDocument
 from ..core.processor import Alert, Notification
 from ..diff.changes import classify_changes
 from ..errors import ReproError
 from ..faults.killpoints import KILL_POINT_POST_MATCH, maybe_kill
+from ..observability.metrics import MetricsRegistry
+from ..observability.names import STAGE_EXECUTOR_STAGE, stage_latency_name
 from ..repository.store import FetchOutcome
-from ..xmlstore.nodes import Document
-from ..xmlstore.parser import parse
 from .stream import Fetch
 
-#: Stage names, in lifecycle order.  ``parse`` and ``detect`` are the pure
-#: halves of ``load`` and ``alert`` that executors may run in worker
-#: processes; the serial executor folds them into their stateful partners.
-STAGE_PARSE = "parse"
+#: Stage names, in lifecycle order.
 STAGE_LOAD = "load"
 STAGE_CLASSIFY = "classify"
-STAGE_DETECT = "detect"
 STAGE_ALERT = "alert"
 STAGE_MATCH = "match"
 STAGE_ROUTE = "route"
@@ -57,8 +50,18 @@ STAGE_ROUTE = "route"
 #: Sentinel for a task no stage has completed yet.
 STAGE_PENDING = "pending"
 
-#: What the alerter chain's pure half returns (codes, payload).
-Detection = Tuple[Set[int], Dict[int, Any]]
+#: Documents per batch when the caller does not choose (``run_stream``).
+DEFAULT_BATCH_SIZE = 32
+
+#: Buckets for the ``executor.batch_size`` histogram (documents, not
+#: seconds — powers of two up to well past any sensible batch).
+BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
+)
+
+#: The ``executor=`` label on the batch metrics.  Batches always run
+#: serially; the label stays so metric keys keep their names.
+EXECUTOR_LABEL = "serial"
 
 
 @dataclass
@@ -81,20 +84,10 @@ class PipelineTask:
     """
 
     fetch: Fetch
-    index: int = 0
-    #: Filled by the parse stage (XML only); the load stage reuses it so a
-    #: worker pre-parse is never repeated.
-    document: Optional[Document] = None
     #: Filled by the load stage.
     outcome: Optional[FetchOutcome] = None
     #: Filled by the classify stage.
     fetched: Optional[FetchedDocument] = None
-    #: Filled by the detect stage when an executor pre-computes detection on
-    #: a worker process; the alert stage then only gates and assembles.
-    detection: Optional[Detection] = None
-    #: A non-ReproError raised by a concurrent detect sweep, re-raised at
-    #: the task's ordered position so propagation matches the serial path.
-    detection_error: Optional[BaseException] = None
     #: Filled by the alert stage (None: only weak events / nothing fired).
     alert: Optional[Alert] = None
     #: Filled by the match stage.
@@ -124,35 +117,15 @@ class PipelineTask:
 # -- stage steps -----------------------------------------------------------------
 #
 # Each step takes the assembled SubscriptionSystem (duck-typed to avoid an
-# import cycle) and one task.  Steps assume their predecessors ran; the
-# executors guarantee the ordering.
-
-
-def parse_stage(task: PipelineTask) -> PipelineTask:
-    """Pure XML parsing, safe in worker processes (no shared state).
-
-    Failures — of any exception type — are parked on the error slot; the
-    load stage re-raises non-ReproErrors at the task's ordered position so
-    propagation order matches the serial path exactly.
-    """
-    fetch = task.fetch
-    if fetch.is_xml and task.document is None:
-        try:
-            task.document = parse(fetch.content)
-        except Exception as exc:  # noqa: BLE001 — re-raised in order by load
-            task.error = exc
-            task.failed_stage = STAGE_PARSE
-    if task.error is None:
-        task.stage = STAGE_PARSE
-    return task
+# import cycle) and one task.  Steps assume their predecessors ran, in
+# LIFECYCLE order.
 
 
 def load_stage(system: Any, task: PipelineTask) -> None:
-    """Store the page in the repository (stateful; input order matters)."""
+    """Parse and store the page in the repository (input order matters)."""
     fetch = task.fetch
     if fetch.is_xml:
-        content = task.document if task.document is not None else fetch.content
-        task.outcome = system.repository.store_xml(fetch.url, content)
+        task.outcome = system.repository.store_xml(fetch.url, fetch.content)
     else:
         task.outcome = system.repository.store_html(fetch.url, fetch.content)
 
@@ -185,30 +158,12 @@ def classify_stage(system: Any, task: PipelineTask) -> None:
         )
 
 
-def detect_stage(system: Any, task: PipelineTask) -> PipelineTask:
-    """Run every alerter over the document — the pure, read-only half of
-    alert building, safe to run concurrently across documents."""
-    assert task.fetched is not None
-    try:
-        task.detection = system.alerter_chain.detect_events(task.fetched)
-    except Exception as exc:  # noqa: BLE001 — re-raised in order by alert
-        task.detection_error = exc
-    return task
-
-
 def alert_stage(system: Any, task: PipelineTask) -> None:
     """Document accounting + weak/strong gating (Section 5.1)."""
     assert task.fetched is not None
     system.documents_fed += 1
     system._fed_counter.inc()
-    if task.detection_error is not None:
-        raise task.detection_error
-    if task.detection is not None:
-        task.alert = system.alerter_chain.finish_alert(
-            task.fetched, task.detection
-        )
-    else:
-        task.alert = system.alerter_chain.build_alert(task.fetched)
+    task.alert = system.alerter_chain.build_alert(task.fetched)
 
 
 def match_stage(system: Any, task: PipelineTask) -> None:
@@ -224,9 +179,7 @@ def route_stage(system: Any, task: PipelineTask) -> None:
         system._emitted_counter.inc(len(task.notifications))
 
 
-#: The stateful lifecycle every executor runs in input order.  The pure
-#: ``parse`` / ``detect`` stages are not listed: they are optional hoists
-#: whose work the ``load`` / ``alert`` stages subsume when absent.
+#: Every document runs these stages, in this order.
 LIFECYCLE: Tuple[Tuple[str, Any], ...] = (
     (STAGE_LOAD, load_stage),
     (STAGE_CLASSIFY, classify_stage),
@@ -254,7 +207,14 @@ def run_stage(stage: str, step: Any, system: Any, task: PipelineTask) -> None:
         task.stage = stage
 
 
-def raise_if_fatal(task: PipelineTask) -> None:
-    """Re-raise a parked non-ReproError at the task's ordered position."""
-    if task.error is not None and not isinstance(task.error, ReproError):
-        raise task.error
+def observe_stage_times(
+    metrics: MetricsRegistry, elapsed: Dict[str, float]
+) -> None:
+    """Record one batch's time per stage: one observation per touched
+    stage in ``executor.stage.latency_seconds{executor=serial,stage=}``."""
+    for stage, total in elapsed.items():
+        metrics.histogram(
+            stage_latency_name(STAGE_EXECUTOR_STAGE),
+            executor=EXECUTOR_LABEL,
+            stage=stage,
+        ).observe(total)

@@ -9,9 +9,7 @@ fetched" (Section 2.2).  A stream is any iterable of :class:`Fetch` items;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
-
-from ..errors import PipelineError
+from typing import Iterable, Iterator
 
 XML_PAGE = "xml"
 HTML_PAGE = "html"
@@ -35,20 +33,3 @@ def from_pairs(pairs: Iterable, kind: str = XML_PAGE) -> Iterator[Fetch]:
     for url, content in pairs:
         yield Fetch(url=url, content=content, kind=kind)
 
-
-def chunked(stream: Iterable[Fetch], size: int) -> Iterator[List[Fetch]]:
-    """Cut an infinite-or-finite fetch stream into batches of ``size``.
-
-    The stream is consumed lazily — one batch is materialised at a time,
-    so feeding a crawler's endless stream stays O(size) in memory.
-    """
-    if size < 1:
-        raise PipelineError(f"batch size must be >= 1, got {size}")
-    batch: List[Fetch] = []
-    for fetch in stream:
-        batch.append(fetch)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

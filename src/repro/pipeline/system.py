@@ -10,12 +10,12 @@ leave through the email sink / web publisher.
 Documents travel through the staged pipeline of
 :mod:`repro.pipeline.stages`; single pages go through :meth:`feed_xml` /
 :meth:`feed_html`, whole crawls through :meth:`feed_batch` /
-:meth:`run_stream`, which hand each batch to the pluggable
-:class:`~repro.pipeline.executor.BatchExecutor` (serial by default).
+:meth:`run_stream`, which run each batch's pages through the stages one
+at a time, in input order.
 
 This is the facade examples and integration tests use::
 
-    system = SubscriptionSystem(executor="process:workers=4", batch_size=64)
+    system = SubscriptionSystem(batch_size=64)
     system.subscribe('subscription S ...', owner_email='user@example.org')
     system.feed_xml('http://site/catalog.xml', '<catalog>...</catalog>')
     system.run_stream(crawler.due_fetches())
@@ -24,7 +24,7 @@ This is the facade examples and integration tests use::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..alerters.chain import AlerterChain
 from ..clock import Clock, SECONDS_PER_DAY, SimulatedClock
@@ -60,13 +60,16 @@ from ..subscription.manager import SubscriptionManager
 from ..triggers.answers import QueryAnswerStore
 from ..triggers.engine import TriggerEngine
 from ..xmlstore.nodes import Document
-from .executor import (
+from .stages import (
     BATCH_SIZE_BUCKETS,
-    BatchExecutor,
     DEFAULT_BATCH_SIZE,
+    EXECUTOR_LABEL,
+    FeedResult,
+    LIFECYCLE,
+    PipelineTask,
+    observe_stage_times,
+    run_stage,
 )
-from .executors import ExecutorSpec, create as _create_executor, resolve
-from .stages import FeedResult, LIFECYCLE, PipelineTask
 from .stream import Fetch, HTML_PAGE, XML_PAGE
 
 __all__ = ["FeedResult", "SubscriptionSystem"]
@@ -90,7 +93,6 @@ class SubscriptionSystem:
         shards: int = 1,
         shard_mode: str = "flow",
         metrics: Optional[MetricsRegistry] = None,
-        executor: Union[str, "ExecutorSpec", BatchExecutor, None] = None,
         batch_size: Optional[int] = None,
         queue_bound: Optional[int] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
@@ -106,15 +108,10 @@ class SubscriptionSystem:
         :data:`~repro.observability.NULL_REGISTRY` to disable
         instrumentation entirely.
 
-        ``executor`` selects the batch executor used by :meth:`feed_batch`
-        and :meth:`run_stream` — a spec string
-        (``"process:workers=4,batch=64"``; see
-        :mod:`repro.pipeline.executors` for the grammar), an
-        :class:`~repro.pipeline.executors.ExecutorSpec`, an instance, or
-        ``None`` for ``$REPRO_EXECUTOR`` / serial.  ``batch_size`` and
-        ``queue_bound`` (the ingest-queue bound used by
-        :meth:`run_stream`) override the spec's ``batch=`` / ``queue=``
-        fields; the defaults are 32 and 2x the batch size.
+        ``batch_size`` (documents per :meth:`run_stream` batch, default
+        32) and ``queue_bound`` (the ingest-queue bound used by
+        :meth:`run_stream`, default 2x the batch size) configure stream
+        ingestion.
 
         ``dead_letters`` quarantines pages the loader rejects instead of
         silently dropping them: each rejected fetch becomes a
@@ -199,22 +196,13 @@ class SubscriptionSystem:
             COUNTER_NOTIFICATIONS_EMITTED
         )
         self._subscriptions_gauge = self.metrics.gauge(GAUGE_SUBSCRIPTIONS)
-        if isinstance(executor, BatchExecutor):
-            spec = ExecutorSpec(name=executor.name)
-            self.executor = executor
-        else:
-            spec = resolve(executor)
-            self.executor = _create_executor(spec)
-        self.executor_spec = spec
         if batch_size is None:
-            batch_size = spec.batch if spec.batch is not None else DEFAULT_BATCH_SIZE
+            batch_size = DEFAULT_BATCH_SIZE
         if batch_size < 1:
             raise PipelineError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = int(batch_size)
         if queue_bound is None:
-            queue_bound = (
-                spec.queue if spec.queue is not None else 2 * self.batch_size
-            )
+            queue_bound = 2 * self.batch_size
         if queue_bound < self.batch_size:
             raise PipelineError(
                 f"queue_bound ({queue_bound}) must be >= batch_size"
@@ -227,7 +215,7 @@ class SubscriptionSystem:
         self.recovery: Optional[Any] = None
         # Batch metrics are interned on the first feed_batch call so a
         # system fed only through the single-document path keeps a snapshot
-        # free of executor series.
+        # free of executor.* series.
         self._queue_gauge = None
         self._batch_size_histogram = None
         self._run_batch_latency = None
@@ -269,8 +257,9 @@ class SubscriptionSystem:
         return self._feed_one(fetch)
 
     def _feed_one(self, fetch: Fetch) -> FeedResult:
-        """Run one document through the stage lifecycle, no executor, no
-        error slot: failures propagate to the caller as they always did."""
+        """Run one document through the stage lifecycle, no batch metrics,
+        no error slot: failures propagate to the caller as they always
+        did."""
         task = PipelineTask(fetch=fetch)
         for stage, step in LIFECYCLE:
             step(self, task)
@@ -280,25 +269,26 @@ class SubscriptionSystem:
     def feed_batch(
         self, fetches: Iterable[Fetch], skip_malformed: bool = True
     ) -> List[FeedResult]:
-        """Feed one batch of pages through the configured executor.
+        """Feed one batch of pages through the stage lifecycle.
 
-        Semantics match sequential :meth:`feed` calls on the same pages:
-        per-document error isolation (with ``skip_malformed`` a rejected
-        page is counted under ``documents_rejected`` /
-        ``pipeline.documents_rejected{reason=...}`` and skipped), identical
-        notifications, reports and counters.  With ``skip_malformed=False``
-        the first rejection is raised and no later page in the batch enters
-        the stateful stages.
+        Each page runs every stage of
+        :data:`~repro.pipeline.stages.LIFECYCLE` before the next page
+        starts, in input order, so semantics match sequential :meth:`feed`
+        calls on the same pages: per-document error isolation (with
+        ``skip_malformed`` a rejected page is counted under
+        ``documents_rejected`` / ``pipeline.documents_rejected{reason=...}``
+        and skipped), identical notifications, reports and counters.  With
+        ``skip_malformed=False`` the first rejection is raised and no later
+        page in the batch enters the pipeline.
 
         Batch observability: one ``executor.batch_size`` observation, one
-        ``executor.run_batch.latency_seconds{executor=...}`` span, and the
+        ``executor.run_batch.latency_seconds{executor=serial}`` span, one
+        ``executor.stage.latency_seconds{executor=serial,stage=...}``
+        observation per stage the batch touched, and the
         ``executor.queue_depth`` gauge holds the in-flight batch size while
-        the executor runs.
+        the batch runs.
         """
-        tasks = [
-            PipelineTask(fetch=fetch, index=index)
-            for index, fetch in enumerate(fetches)
-        ]
+        tasks = [PipelineTask(fetch=fetch) for fetch in fetches]
         if not tasks:
             return []
         if self._batch_size_histogram is None:
@@ -306,21 +296,32 @@ class SubscriptionSystem:
             self._batch_size_histogram = self.metrics.histogram(
                 HISTOGRAM_BATCH_SIZE,
                 BATCH_SIZE_BUCKETS,
-                executor=self.executor.name,
+                executor=EXECUTOR_LABEL,
             )
             self._run_batch_latency = self.metrics.histogram(
                 stage_latency_name(STAGE_EXECUTOR_RUN_BATCH),
-                executor=self.executor.name,
+                executor=EXECUTOR_LABEL,
             )
         self._batch_size_histogram.observe(len(tasks))
         self._queue_gauge.set(len(tasks))
-        start = self.metrics.now()
+        now = self.metrics.now
+        start = now()
         try:
-            self.executor.run_batch(
-                self, tasks, stop_on_error=not skip_malformed
-            )
+            elapsed: Dict[str, float] = {}
+            for task in tasks:
+                for stage, step in LIFECYCLE:
+                    stage_start = now()
+                    run_stage(stage, step, self, task)
+                    elapsed[stage] = (
+                        elapsed.get(stage, 0.0) + now() - stage_start
+                    )
+                    if task.error is not None:
+                        break
+                if task.error is not None and not skip_malformed:
+                    break
+            observe_stage_times(self.metrics, elapsed)
         finally:
-            self._run_batch_latency.observe(self.metrics.now() - start)
+            self._run_batch_latency.observe(now() - start)
             self._queue_gauge.set(0)
         results: List[FeedResult] = []
         for task in tasks:
@@ -363,7 +364,7 @@ class SubscriptionSystem:
         :class:`~repro.pipeline.ingest.BoundedFetchQueue` of ``queue_bound``
         items (default: the system's ``queue_bound``) while this thread
         consumes batches of ``batch_size`` (default: the system's
-        ``batch_size``) via :meth:`feed_batch` — so a slow executor
+        ``batch_size``) via :meth:`feed_batch` — so a slow pipeline
         throttles the stream (``ingest.backpressure_waits``) instead of
         buffering it, and ``executor.queue_depth`` can genuinely saturate.
 

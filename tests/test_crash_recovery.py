@@ -1,25 +1,18 @@
-"""Crash recovery and degraded-mode executors.
+"""Crash recovery of the subscription database.
 
-Two halves of the robustness story that the fault injector cannot reach:
-
-* a *process* crash mid-batch — a non-``ReproError`` escaping a stage —
-  must lose no durable subscription state: the MiniSQL WAL replays into
-  a fresh :class:`~repro.pipeline.SubscriptionSystem` and
-  :meth:`~repro.subscription.manager.SubscriptionManager.recover`
-  restores every subscription, its inhibition flag and its refresh
-  hints;
-* a *worker* crash inside the process executor must degrade the batch
-  to the serial path (counted under ``executor.fallbacks``) instead of
-  aborting the stream, with results identical to a serial run.
+A *process* crash mid-batch — a non-``ReproError`` escaping a stage —
+must lose no durable subscription state: the MiniSQL WAL replays into a
+fresh :class:`~repro.pipeline.SubscriptionSystem` and
+:meth:`~repro.subscription.manager.SubscriptionManager.recover` restores
+every subscription, its inhibition flag and its refresh hints.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.clock import SimulatedClock
 from repro.minisql import Database
-from repro.pipeline import Fetch, ProcessExecutor, SubscriptionSystem
+from repro.pipeline import Fetch, SubscriptionSystem
 
 SOURCE = """
 subscription Recovery
@@ -106,86 +99,3 @@ class TestCrashRecovery:
         )
         assert second > first
 
-
-def build_system(executor, shards=1):
-    system = SubscriptionSystem(
-        clock=SimulatedClock(1_000_000.0),
-        executor=executor,
-        shards=shards,
-    )
-    system.subscribe(SOURCE, owner_email="a@example.org")
-    return system
-
-
-def stream(rounds=3, sites=6):
-    return [
-        catalog_fetch(i, r, "camera" if (r + i) % 2 == 0 else "tripod")
-        for r in range(rounds)
-        for i in range(sites)
-    ]
-
-
-def notification_keys(results):
-    return sorted(
-        (n.complex_code, n.document_url)
-        for result in results
-        for n in result.notifications
-    )
-
-
-class TestDegradedExecutors:
-    def test_sharded_worker_crash_falls_back_to_serial(self):
-        """A crashed pool on a 4-shard flow-partitioned system degrades
-        to the serial path with serial-identical results."""
-        executor = ProcessExecutor(workers=2)
-        system = build_system(executor, shards=4)
-
-        def broken_sweep(*args, **kwargs):
-            raise RuntimeError("simulated pool crash")
-
-        executor._process_sweep = broken_sweep
-        baseline = build_system("serial", shards=4)
-        results = system.run_stream(stream())
-        expected = baseline.run_stream(stream())
-
-        assert notification_keys(results) == notification_keys(expected)
-        assert system.documents_fed == baseline.documents_fed
-        counters = system.metrics_snapshot()["counters"]
-        assert counters["executor.fallbacks{executor=process}"] >= 1
-        executor.close()
-
-    def test_partial_sweep_crash_is_safe_to_rerun(self):
-        """A sweep that dies *after* processing some tasks must still
-        produce serial-identical results (the stages are idempotent)."""
-        executor = ProcessExecutor(workers=2)
-        system = build_system(executor)
-        calls = {"n": 0}
-
-        def flaky_sweep(worker_fn, requests, apply_fn, extra_args=()):
-            calls["n"] += 1
-            # Process half the requests, then die mid-sweep.
-            half = requests[: len(requests) // 2]
-            for response in worker_fn(*extra_args, half):
-                apply_fn(response)
-            raise RuntimeError("simulated mid-sweep crash")
-
-        executor._process_sweep = flaky_sweep
-        baseline = build_system("serial")
-        results = system.run_stream(stream())
-        expected = baseline.run_stream(stream())
-
-        assert calls["n"] >= 1
-        assert notification_keys(results) == notification_keys(expected)
-        executor.close()
-
-    def test_healthy_executors_never_count_fallbacks(self):
-        for shards in (1, 4):
-            executor = ProcessExecutor(workers=2)
-            system = build_system(executor, shards=shards)
-            system.run_stream(stream())
-            executor.close()
-            counters = system.metrics_snapshot()["counters"]
-            fallback_keys = [
-                key for key in counters if key.startswith("executor.fallbacks")
-            ]
-            assert fallback_keys == []

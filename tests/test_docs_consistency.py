@@ -77,59 +77,51 @@ class TestExperimentsDocument:
 
 
 class TestPipelineDocument:
-    def test_every_registered_executor_documented(self):
-        from repro.pipeline.executors import available
-
-        doc = read("docs/PIPELINE.md")
-        for name in available():
-            assert f"`{name}`" in doc, f"executor {name} missing"
-
     def test_migration_table_present(self):
+        """Every surface the migration table marks removed is really gone:
+        no such name in ``repro.api`` / ``repro.pipeline`` and no such CLI
+        flag on any subcommand."""
+        import argparse
+
+        import repro.api
+        import repro.pipeline
+        from repro.cli import _build_parser
+
         doc = read("docs/PIPELINE.md")
-        assert "## Migration from the pre-registry API" in doc
-        rows = {
-            line.split("|")[0].strip(): line
+        assert "## Migration from the executor API" in doc
+        removed_rows = [
+            line.split("|")[0]
             for line in doc.splitlines()
-            if line.startswith("`")
-        }
-        for old, new in [
-            ("`make_executor(\"serial\")`", "create(\"serial\")"),
-            ("`EXECUTORS` table lookup", "available()"),
-            ("`executors.register(name, factory)`", "removed"),
-            ("`executor=\"threaded\"`", "process:workers=N"),
-            ("`executor=\"sharded\"`", "serial"),
-            ("`--executor serial --batch-size 64`", "serial:batch=64"),
-        ]:
-            assert old in rows and new in rows[old], (
-                f"migration row {old!r} missing"
-            )
-        for removed in ("threaded", "sharded", "EXECUTORS", "register"):
-            assert any(
-                removed in old and "removed" in line
-                for old, line in rows.items()
-            ), f"{removed} not recorded as removed"
+            if line.startswith("`") and "| removed" in line
+        ]
+        assert len(removed_rows) >= 12, "migration rows missing"
 
-    def test_documented_spec_examples_parse(self):
-        from repro.pipeline.executors import ExecutorSpec, available
+        flags = set()
+        parser = _build_parser()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for subparser in action.choices.values():
+                    for sub_action in subparser._actions:
+                        flags.update(sub_action.option_strings)
+        for old in removed_rows:
+            for token in re.findall(r"`([^`]+)`", old):
+                word = token.split("(")[0].split()[0]
+                if word.startswith("--"):
+                    assert word not in flags, f"{word} is still a CLI flag"
+                elif word.isidentifier():
+                    for module in (repro.api, repro.pipeline):
+                        assert not hasattr(module, word), (
+                            f"{word} is still exported"
+                        )
 
-        doc = read("docs/PIPELINE.md")
-        names = "|".join(available())
-        specs = re.findall(
-            rf"^((?:{names})(?::[a-z_]+=\w+(?:,[a-z_]+=\w+)*)?)$",
-            doc,
-            re.MULTILINE,
-        )
-        assert len(specs) >= 4, "spec grammar examples missing"
-        for text in specs:
-            spec = ExecutorSpec.parse(text)
-            assert spec.render() == text
-
-    def test_documented_spec_keys_match_parser(self):
-        from repro.pipeline.executors import _KEYS
+    def test_documented_batch_settings_match_code(self):
+        from repro.pipeline import DEFAULT_BATCH_SIZE
 
         doc = read("docs/PIPELINE.md")
-        for key in _KEYS:
-            assert f"`{key}`" in doc, f"spec key {key} undocumented"
+        for setting in ("`batch_size=`", "`queue_bound=`",
+                        "`--batch-size`", "`--queue-depth`"):
+            assert setting in doc, f"{setting} undocumented"
+        assert f"| {DEFAULT_BATCH_SIZE} (`DEFAULT_BATCH_SIZE`) |" in doc
 
     def test_ingest_metrics_mentioned(self):
         from repro.observability.names import (
@@ -191,7 +183,6 @@ class TestRobustnessDocument:
         from repro.observability.names import (
             COUNTER_BREAKER_STATE_CHANGES,
             COUNTER_DLQ_QUARANTINED,
-            COUNTER_EXECUTOR_FALLBACKS,
             COUNTER_FAULTS_INJECTED,
             COUNTER_RETRY_ATTEMPTS,
             GAUGE_DLQ_DEPTH,
@@ -201,7 +192,6 @@ class TestRobustnessDocument:
         for name in (
             COUNTER_BREAKER_STATE_CHANGES,
             COUNTER_DLQ_QUARANTINED,
-            COUNTER_EXECUTOR_FALLBACKS,
             COUNTER_FAULTS_INJECTED,
             COUNTER_RETRY_ATTEMPTS,
             GAUGE_DLQ_DEPTH,
@@ -231,7 +221,6 @@ class TestRobustnessDocument:
     def test_recovery_section_documents_metrics_and_kill_points(self):
         from repro.faults import KILL_POINTS
         from repro.observability.names import (
-            COUNTER_EXECUTOR_WATCHDOG_TIMEOUTS,
             COUNTER_RECOVERY_CHECKPOINTS,
             COUNTER_RECOVERY_DEDUPED,
             COUNTER_RECOVERY_REPLAYED,
@@ -243,7 +232,6 @@ class TestRobustnessDocument:
             COUNTER_RECOVERY_CHECKPOINTS,
             COUNTER_RECOVERY_REPLAYED,
             COUNTER_RECOVERY_DEDUPED,
-            COUNTER_EXECUTOR_WATCHDOG_TIMEOUTS,
         ):
             assert name in doc, f"{name} missing from ROBUSTNESS.md"
         for point in KILL_POINTS:

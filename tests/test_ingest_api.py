@@ -1,12 +1,12 @@
-"""The redesigned ingest API: spec grammar, bounded queue, facade, shims.
+"""The ingest API: batch settings, bounded queue, facade, front-end.
 
-Pins the four public-surface promises of the executor/ingest redesign:
+Pins the public-surface promises of the ingest layer:
 
-* one :class:`ExecutorSpec` grammar accepted by CLI, env and constructor,
-  with documented precedence (flag/kwarg > spec field > env > default);
+* ``batch_size`` / ``queue_bound`` default to 32 / 2x the batch size,
+  keyword arguments override them, and impossible bounds are rejected;
 * ``run_stream`` routes through the bounded queue — ``executor.queue_depth``
-  can genuinely saturate (peak <= bound, backpressure counted) while the
-  rejection semantics of the old eager-chunking path stay bit-identical;
+  can genuinely saturate (peak <= bound, backpressure counted) while a
+  rejected page is still counted and skipped;
 * ``repro.api`` is the stable facade;
 * the asyncio fetch front-end drains a crawler concurrently into the
   same queue.
@@ -23,15 +23,11 @@ from repro.clock import SECONDS_PER_DAY, SimulatedClock
 from repro.errors import PipelineError, XMLSyntaxError
 from repro.pipeline import (
     BoundedFetchQueue,
-    ExecutorSpec,
     Fetch,
     IngestSession,
-    ProcessExecutor,
-    SerialExecutor,
     SubscriptionSystem,
     from_pairs,
 )
-from repro.pipeline.executors import available, create, resolve
 
 SOURCE = """
 subscription Ingest
@@ -60,116 +56,20 @@ def xml_pages(count):
     ]
 
 
-class TestExecutorSpec:
-    def test_parse_name_only(self):
-        spec = ExecutorSpec.parse("serial")
-        assert spec == ExecutorSpec(name="serial")
-
-    def test_parse_full(self):
-        spec = ExecutorSpec.parse("process:workers=4,batch=64,queue=128")
-        assert spec.name == "process"
-        assert spec.workers == 4
-        assert spec.batch == 64
-        assert spec.queue == 128
-
-    def test_aliases_and_whitespace(self):
-        spec = ExecutorSpec.parse(" Process : batch = 8 , queue=16 ")
-        assert spec == ExecutorSpec(name="process", batch=8, queue=16)
-        # The old key aliases are gone: only the canonical keys parse.
-        for alias in ("batch_size=8", "queue_depth=16"):
-            with pytest.raises(PipelineError, match="unknown executor spec"):
-                ExecutorSpec.parse(f"process:{alias}")
-
-    def test_detect_option(self):
-        # Detection always runs on the workers; detect= is no longer a key.
-        for value in ("local", "workers"):
-            with pytest.raises(PipelineError, match="unknown executor spec"):
-                ExecutorSpec.parse(f"process:detect={value}")
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            ":workers=2",
-            "process:workers",
-            "process:workers=",
-            "process:workers=zero",
-            "process:workers=0",
-            "process:wrokers=2",
-        ],
-    )
-    def test_malformed_specs_raise(self, bad):
-        with pytest.raises(PipelineError):
-            ExecutorSpec.parse(bad)
-
-    def test_render_round_trips(self):
-        for text in ("serial", "process:workers=4,batch=64,queue=128"):
-            assert ExecutorSpec.parse(text).render() == text
-
-    def test_merged_overrides_win(self):
-        spec = ExecutorSpec.parse("process:workers=4,batch=64")
-        merged = spec.merged(workers=8, queue=256, batch=None)
-        assert merged.workers == 8  # override wins
-        assert merged.batch == 64  # None override leaves the spec field
-        assert merged.queue == 256
-
-    def test_create_builds_each_registered_executor(self):
-        assert available() == ("process", "serial")
-        assert isinstance(create("serial"), SerialExecutor)
-        process = create("process:workers=2")
-        assert isinstance(process, ProcessExecutor)
-        assert process.workers == 2
-        process.close()
-
-    def test_strict_options(self):
-        with pytest.raises(PipelineError):
-            create("serial:workers=2")
-        with pytest.raises(PipelineError):
-            create("serial:watchdog=5")
-        with pytest.raises(PipelineError):
-            create("quantum")
-
-
 class TestPrecedence:
-    """flag/kwarg > spec field > $REPRO_EXECUTOR > default."""
+    """kwarg > default."""
 
-    def test_spec_fields_configure_system(self):
+    def test_kwargs_override_defaults(self):
         system = SubscriptionSystem(
-            clock=SimulatedClock(0.0),
-            executor="process:workers=1,batch=16,queue=48",
-        )
-        assert isinstance(system.executor, ProcessExecutor)
-        assert system.batch_size == 16
-        assert system.queue_bound == 48
-
-    def test_kwargs_override_spec(self):
-        system = SubscriptionSystem(
-            clock=SimulatedClock(0.0),
-            executor="serial:batch=16,queue=48",
-            batch_size=8,
-            queue_bound=24,
+            clock=SimulatedClock(0.0), batch_size=8, queue_bound=24
         )
         assert system.batch_size == 8
         assert system.queue_bound == 24
 
-    def test_env_spec_used_when_no_spec_given(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process:workers=1,batch=5")
+    def test_defaults(self):
         system = SubscriptionSystem(clock=SimulatedClock(0.0))
-        assert isinstance(system.executor, ProcessExecutor)
-        assert system.batch_size == 5
-
-    def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process:workers=1")
-        system = SubscriptionSystem(clock=SimulatedClock(0.0), executor="serial")
-        assert isinstance(system.executor, SerialExecutor)
-
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        system = SubscriptionSystem(clock=SimulatedClock(0.0))
-        assert isinstance(system.executor, SerialExecutor)
         assert system.batch_size == 32
         assert system.queue_bound == 64
-        assert resolve(None) == ExecutorSpec(name="serial")
 
     def test_queue_bound_below_batch_size_rejected(self):
         with pytest.raises(PipelineError):
@@ -267,7 +167,7 @@ class TestRunStreamThroughQueue:
         assert counters["ingest.backpressure_waits"] >= 1
 
     def test_rejection_semantics_unchanged(self):
-        """Regression: the bounded-queue path keeps the old contract."""
+        """Regression: a rejected page is counted and skipped."""
         pages = xml_pages(9)
         pages.insert(4, ("http://www.shop.example/bad.xml", "<r><boom>"))
         system = build_system(batch_size=3)
@@ -292,13 +192,13 @@ class TestRunStreamThroughQueue:
         system = build_system(batch_size=2, queue_bound=2)
 
         def exploding_feed_batch(batch, skip_malformed=True):
-            raise RuntimeError("executor died")
+            raise RuntimeError("pipeline died")
 
         system.feed_batch = exploding_feed_batch
         session = IngestSession(system, batch_size=2, queue_bound=2)
         # 40 pages >> queue bound: the feeder is parked on a full put
-        # at the moment the executor raises.
-        with pytest.raises(RuntimeError, match="executor died"):
+        # at the moment feed_batch raises.
+        with pytest.raises(RuntimeError, match="pipeline died"):
             session.run(from_pairs(xml_pages(40)))
         assert not any(
             thread.name == "repro-ingest-feeder" and thread.is_alive()
@@ -324,7 +224,8 @@ class TestRunStreamThroughQueue:
         )
 
     def test_stream_failure_loses_only_partial_tail(self):
-        """A stream that raises mid-iteration matches old chunked()."""
+        """A stream that raises mid-iteration loses only the partially
+        accumulated batch; the full batches before it are fed."""
 
         def broken_stream():
             for url, content in xml_pages(7):
@@ -391,12 +292,10 @@ class TestApiFacade:
         from repro import api
 
         system = api.SubscriptionSystem(
-            clock=SimulatedClock(0.0), executor="serial"
+            clock=SimulatedClock(0.0), batch_size=api.DEFAULT_BATCH_SIZE
         )
         assert isinstance(system, SubscriptionSystem)
-        assert api.create_executor("serial").name == "serial"
-        assert "process" in api.available_executors()
-        assert api.ExecutorSpec.parse("process:workers=2").workers == 2
+        assert system.batch_size == 32
 
     def test_facade_covers_the_redesign(self):
         from repro import api
@@ -405,8 +304,7 @@ class TestApiFacade:
             "IngestSession",
             "AsyncFetchFrontend",
             "BoundedFetchQueue",
-            "ExecutorSpec",
-            "ProcessExecutor",
+            "IngestReport",
         ):
             assert name in api.__all__
             assert hasattr(api, name)

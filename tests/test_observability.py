@@ -22,7 +22,7 @@ from repro.observability.metrics import (
     split_key,
 )
 from repro.observability.names import ALL_METRIC_NAMES, STAGE_NAMES
-from repro.pipeline import Fetch, SerialExecutor, SubscriptionSystem
+from repro.pipeline import Fetch, SubscriptionSystem
 from repro.webworld import SiteGenerator
 
 SOURCE = """
@@ -134,28 +134,32 @@ class TestDeterministicTracing:
         assert (snap["count"], snap["sum"]) == (1, 1.5)
 
     def test_span_closes_on_exception(self):
-        """A batch whose executor raises is still timed (the system closes
+        """A batch whose stage raises is still timed (the system closes
         its ``executor.run_batch`` stage in a ``finally``)."""
         clock = SimulatedClock()
         registry = MetricsRegistry(clock)
-
-        class Boom(SerialExecutor):
-            name = "boom"
-
-            def run_batch(self, system, tasks, stop_on_error=False):
-                clock.advance(0.25)
-                raise RuntimeError("boom")
-
-        system = SubscriptionSystem(
-            clock=clock, metrics=registry, executor=Boom()
+        system = SubscriptionSystem(clock=clock, metrics=registry)
+        system.subscribe(
+            "subscription Boom\nmonitoring M\nselect <Hit url=URL/>\n"
+            'where URL extends "http://x.example/"\n  and modified self\n'
+            "report when immediate",
+            owner_email="u@x",
         )
+
+        def boom(alert):
+            clock.advance(0.25)
+            raise RuntimeError("boom")
+
+        system.processor.process_alert = boom
         with pytest.raises(RuntimeError):
             system.feed_batch([Fetch("http://x.example/a.xml", "<r/>")])
         histogram = stage_histogram(
-            registry, "executor.run_batch", executor="boom"
+            registry, "executor.run_batch", executor="serial"
         )
         assert histogram.count == 1
         assert histogram.snapshot()["buckets"]["0.5"] == 1
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["executor.queue_depth"] == 0
 
 
 class TestNullRegistryNeutrality:

@@ -1,9 +1,8 @@
-"""Batch feeding: feed_batch / run_stream / the pluggable executors.
+"""Batch feeding: feed_batch / run_stream.
 
-The contract under test is the equivalence promise of
-``repro.pipeline.executor``: for the same stream every executor produces
-the same notifications, the same rejection accounting and the same
-counters as feeding the documents one at a time.
+The contract under test is the batch equivalence promise: a batch
+produces the same notifications, the same rejection accounting and the
+same counters as feeding its documents one at a time.
 """
 
 from __future__ import annotations
@@ -12,14 +11,7 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.errors import PipelineError, XMLSyntaxError
-from repro.pipeline import (
-    Fetch,
-    ProcessExecutor,
-    SerialExecutor,
-    SubscriptionSystem,
-    chunked,
-    create,
-)
+from repro.pipeline import Fetch, SubscriptionSystem
 
 SOURCE = """
 subscription Batch
@@ -66,8 +58,8 @@ def notification_keys(results):
 
 
 def comparable_histograms(snapshot):
-    """Latency/stage histograms without the executor-labelled series (whose
-    labels legitimately differ between executors)."""
+    """Latency/stage histograms without the batch series (which exist only
+    on the batch path and depend on the batch size)."""
     return {
         key: payload
         for key, payload in snapshot["histograms"].items()
@@ -94,73 +86,21 @@ def assert_equivalent(baseline, other, *, compare_histograms=True):
         )
 
 
-class TestChunked:
-    def test_even_and_ragged_batches(self):
-        fetches = make_stream(rounds=1, sites=5)
-        batches = list(chunked(iter(fetches), 2))
-        assert [len(b) for b in batches] == [2, 2, 1]
-        assert [f.url for b in batches for f in b] == [
-            f.url for f in fetches
-        ]
-
-    def test_is_lazy(self):
-        def endless():
-            i = 0
-            while True:
-                yield Fetch(f"http://x/{i}.xml", "<r/>")
-                i += 1
-
-        stream = chunked(endless(), 3)
-        assert len(next(stream)) == 3
-        assert len(next(stream)) == 3
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(PipelineError):
-            list(chunked([], 0))
-
-
-class TestMakeExecutor:
-    """Building an executor from a name, an instance or the environment."""
-
-    def test_names_resolve(self):
-        assert isinstance(create("serial"), SerialExecutor)
-        process = create("process:workers=1")
-        assert isinstance(process, ProcessExecutor)
-        process.close()
-
-    def test_instance_passes_through(self):
-        executor = ProcessExecutor(workers=1)
-        assert create(executor) is executor
-
-    def test_unknown_name_raises(self):
-        # The deleted executors are unknown names like any other.
-        for name in ("quantum", "threaded", "sharded"):
-            with pytest.raises(PipelineError) as caught:
-                create(name)
-            assert str(caught.value) == (
-                f"unknown executor {name!r} (choose from process, serial)"
-            )
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process:workers=1")
-        assert isinstance(create(None), ProcessExecutor)
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        assert isinstance(create(None), SerialExecutor)
-
+class TestBatchSettings:
     def test_system_rejects_bad_batch_size(self):
         with pytest.raises(PipelineError):
             SubscriptionSystem(clock=SimulatedClock(0.0), batch_size=0)
 
 
 class TestSerialBatchEquivalence:
-    """feed_batch with the serial executor == sequential feed calls."""
+    """feed_batch == sequential feed calls."""
 
     def test_matches_sequential_feeds(self):
         stream = make_stream()
         sequential = build_system()
         for fetch in stream:
             sequential.feed(fetch)
-        batched = build_system(executor="serial")
+        batched = build_system()
         results = batched.feed_batch(stream)
         assert len(results) == len(stream)
         assert [r.outcome.status for r in results] == [
@@ -180,7 +120,7 @@ class TestSerialBatchEquivalence:
         sequential = build_system()
         for fetch in stream:
             sequential.feed(fetch)
-        batched = build_system(executor="serial")
+        batched = build_system()
         batched.feed_batch(stream)
         sequential.advance_days(1)
         batched.advance_days(1)
@@ -192,7 +132,7 @@ class TestSerialBatchEquivalence:
         ]
 
     def test_batch_metrics_recorded(self):
-        system = build_system(executor="serial")
+        system = build_system()
         system.feed_batch(make_stream(rounds=1, sites=4))
         system.feed_batch(make_stream(rounds=1, sites=4))
         snapshot = system.metrics_snapshot()
@@ -219,7 +159,7 @@ class TestSerialBatchEquivalence:
         )
 
     def test_strict_mode_raises_and_halts(self):
-        system = build_system(executor="serial")
+        system = build_system()
         with pytest.raises(XMLSyntaxError):
             system.feed_batch(
                 [
@@ -236,7 +176,7 @@ class TestSerialBatchEquivalence:
 
     def test_skip_malformed_counts_rejections(self):
         stream = make_stream(malformed=True)
-        system = build_system(executor="serial")
+        system = build_system()
         results = system.feed_batch(stream)
         assert len(results) == len(stream) - 3
         assert system.documents_rejected == 3
@@ -245,39 +185,26 @@ class TestSerialBatchEquivalence:
 
     def test_run_stream_batches_match_one_big_batch(self):
         stream = make_stream()
-        one_batch = build_system(executor="serial")
+        one_batch = build_system()
         one_batch.feed_batch(stream)
-        small_batches = build_system(executor="serial")
+        small_batches = build_system()
         small_batches.run_stream(iter(stream), batch_size=4)
         assert_equivalent(one_batch, small_batches)
 
 
-class TestShardFanoutEquivalence:
-    """Fanning documents out over a flow-partitioned MQP (``shards=N``)
-    leaves the process executor serial-equivalent."""
+class TestShardedBatchEquivalence:
+    """Batching on a flow-partitioned MQP (``shards=N``) matches feeding
+    the same stream one document at a time."""
 
     def test_matches_serial_on_sharded_system(self):
         stream = make_stream(rounds=4, sites=8, malformed=True)
-        serial = build_system(executor="serial", shards=3)
-        serial_results = serial.run_stream(iter(stream), batch_size=16)
-        fanout = build_system(executor="process:workers=2", shards=3)
-        fanout_results = fanout.run_stream(iter(stream), batch_size=16)
-        fanout.executor.close()
-        assert notification_keys(fanout_results) == notification_keys(
-            serial_results
-        )
-        assert_equivalent(serial, fanout)
+        one_at_a_time = build_system(shards=3)
+        expected = one_at_a_time.run_stream(iter(stream), batch_size=1)
+        batched = build_system(shards=3)
+        results = batched.run_stream(iter(stream), batch_size=16)
+        assert notification_keys(results) == notification_keys(expected)
+        assert_equivalent(one_at_a_time, batched)
         assert (
-            fanout.metrics_snapshot()["shard_load"]
-            == serial.metrics_snapshot()["shard_load"]
+            batched.metrics_snapshot()["shard_load"]
+            == one_at_a_time.metrics_snapshot()["shard_load"]
         )
-
-    def test_degrades_to_serial_on_single_shard(self):
-        # One shard is the plain MQP: the sharded facade collapses away.
-        stream = make_stream()
-        serial = build_system(executor="serial")
-        serial.feed_batch(stream)
-        fanout = build_system(executor="process:workers=2", shards=1)
-        fanout.feed_batch(stream)
-        fanout.executor.close()
-        assert_equivalent(serial, fanout)

@@ -61,30 +61,24 @@ class TestHostileContent:
         result = system.feed_xml("http://deep.example/p.xml", nested(200, "x"))
         assert result.outcome.status == "new"
 
-    @pytest.mark.parametrize("executor", ["serial", "process:workers=2,batch=4"])
     def test_too_deep_page_rejected_without_aborting_stream(
-        self, classifier, clock, executor
+        self, classifier, clock
     ):
-        system = SubscriptionSystem(
-            clock=clock, classifier=classifier, executor=executor
+        system = SubscriptionSystem(clock=clock, classifier=classifier)
+        system.run_stream(
+            [
+                Fetch("http://ok.example/a.xml", "<r>a</r>"),
+                Fetch("http://deep.example/p.xml", nested(500, "one")),
+                Fetch("http://ok.example/b.xml", "<r>b</r>"),
+            ]
         )
-        try:
-            system.run_stream(
-                [
-                    Fetch("http://ok.example/a.xml", "<r>a</r>"),
-                    Fetch("http://deep.example/p.xml", nested(500, "one")),
-                    Fetch("http://ok.example/b.xml", "<r>b</r>"),
-                ]
-            )
-            clock.advance(60)
-            system.run_stream(
-                [
-                    Fetch("http://deep.example/p.xml", nested(500, "two")),
-                    Fetch("http://ok.example/c.xml", "<r>c</r>"),
-                ]
-            )
-        finally:
-            system.executor.close()
+        clock.advance(60)
+        system.run_stream(
+            [
+                Fetch("http://deep.example/p.xml", nested(500, "two")),
+                Fetch("http://ok.example/c.xml", "<r>c</r>"),
+            ]
+        )
         assert system.documents_rejected == 2
         assert system.documents_fed == 3
 

@@ -10,20 +10,17 @@ journaled (or would have been emailed) twice.
 The satellites around it: journal/WAL unit semantics (including the
 torn ``mid-checkpoint`` state), the kill-point switch itself, the
 capture/restore error paths, manager wiring + lazily interned metrics,
-the process executor's watchdog, and the CLI ``chaos --kill`` →
-``resume`` round trip.
+and the CLI ``chaos --kill`` → ``resume`` round trip.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import pytest
 
 from repro.clock import SimulatedClock
-from repro.errors import PipelineError, RecoveryError
+from repro.errors import RecoveryError
 from repro.faults import (
     KILL_POINTS,
     CircuitBreaker,
@@ -43,12 +40,7 @@ from repro.faults.killpoints import (
     KILL_POINT_PRE_DELIVER,
 )
 from repro.minisql import Database
-from repro.pipeline import (
-    IngestSession,
-    ProcessExecutor,
-    SubscriptionSystem,
-    from_pairs,
-)
+from repro.pipeline import IngestSession, SubscriptionSystem, from_pairs
 from repro.recovery import RecoveryManager, RuntimeJournal
 from repro.recovery.state import capture_runtime, restore_runtime
 from repro.webworld import ChangeModel, SimulatedCrawler, SiteGenerator
@@ -344,7 +336,6 @@ class TestRecoveryManager:
         snapshot = plain.metrics_snapshot()
         for name in list(snapshot["counters"]) + list(snapshot["gauges"]):
             assert not name.startswith("recovery."), name
-            assert "watchdog" not in name
 
         journaled = SubscriptionSystem(clock=SimulatedClock(START))
         journaled.enable_recovery(str(tmp_path / "j"))
@@ -550,6 +541,7 @@ class TestExactlyOnceCrashRecovery:
 class TestCliCrashResume:
     def test_chaos_kill_then_resume_round_trip(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.minisql.wal import read_snapshot
 
         journal = str(tmp_path / "cli.journal")
         args = [
@@ -560,10 +552,14 @@ class TestCliCrashResume:
             "--seed", "7",
             "--journal", journal,
             "--checkpoint-every", "4",
+            "--batch-size", "8",
         ]
         assert main(args + ["--kill", "post-deliver:2"]) == 42
         out = capsys.readouterr().out
         assert "crashed at kill point post-deliver (hit 2)" in out
+        # The checkpoint carries the batch settings the resume rebuilds.
+        config = read_snapshot(journal)["state"]["metadata"]["cli"]
+        assert (config["batch_size"], config["queue_depth"]) == (8, 16)
 
         assert main(["resume", "--journal", journal]) == 0
         out = capsys.readouterr().out
@@ -585,69 +581,3 @@ class TestCliCrashResume:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-
-# ---------------------------------------------------------------------------
-# The process executor's watchdog
-# ---------------------------------------------------------------------------
-
-
-def _sleepy_slice(requests):
-    """Module-level so the pool can pickle it by reference."""
-    for seconds in requests:
-        time.sleep(seconds)
-    return []
-
-
-class TestWatchdog:
-    def test_watchdog_validated(self):
-        with pytest.raises(PipelineError, match="watchdog"):
-            ProcessExecutor(watchdog=0)
-
-    def test_spec_grammar_accepts_watchdog(self):
-        from repro.pipeline.executors import ExecutorSpec, create
-
-        spec = ExecutorSpec.parse("process:watchdog=30")
-        assert spec.watchdog == 30
-        executor = create("process:workers=1,watchdog=30")
-        assert executor.watchdog == 30
-        executor.close()
-
-    @pytest.mark.parametrize("name", ["serial"])
-    def test_other_executors_reject_watchdog(self, name):
-        from repro.pipeline.executors import create
-
-        with pytest.raises(PipelineError, match="no watchdog"):
-            create(f"{name}:watchdog=5")
-
-    def test_hung_worker_times_the_sweep_out(self):
-        executor = ProcessExecutor(workers=2, watchdog=0.2)
-        try:
-            # Two requests -> two slices; the parent takes the first, so
-            # the hang lands in the worker process.
-            with pytest.raises(FuturesTimeoutError):
-                executor._process_sweep(
-                    _sleepy_slice, [0.0, 30.0], lambda response: None
-                )
-        finally:
-            executor.close()
-
-    def test_degrade_on_timeout_counts_and_discards_pool(self):
-        clock = SimulatedClock(START)
-        system = SubscriptionSystem(clock=clock)
-        executor = ProcessExecutor(workers=3, watchdog=5)
-        executor._ensure_pool()
-        assert executor._pool is not None
-        executor._degrade(system, FuturesTimeoutError())
-        assert executor._pool is None  # a stuck worker poisons the pool
-        counters = system.metrics_snapshot()["counters"]
-        assert counters["executor.watchdog_timeouts{executor=process}"] == 1
-        assert counters["executor.fallbacks{executor=process}"] == 1
-        executor.close()
-
-    def test_no_watchdog_timeouts_metric_without_timeouts(self):
-        system = SubscriptionSystem(clock=SimulatedClock(START))
-        system.feed_xml("http://a.example/x.xml", "<r><a>hi</a></r>")
-        assert not any(
-            "watchdog" in name
-            for name in system.metrics_snapshot()["counters"]
-        )
