@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import DiffError
 from ..xmlstore.nodes import Document, ElementNode, Node, TextNode
 from .delta import Delta, DeleteOp, InsertOp, UpdateAttributesOp, UpdateTextOp
-from .signature import subtree_signatures
+from .signature import document_signatures
 from .xids import XidSpace, require_xid
 
 #: Beyond this product of child-list lengths the LCS falls back to a greedy
@@ -34,7 +34,9 @@ def compute_delta(
 
     Side effects: every node of ``new_document`` receives an XID — matched
     nodes inherit the old node's XID, inserted nodes get fresh XIDs from
-    ``xid_space``.  ``old_document`` is not modified.
+    ``xid_space``.  Both documents keep their subtree signatures
+    (``document_signatures``), so a version already signed is not signed
+    again.  ``old_document``'s tree is not modified.
     """
     old_root = old_document.root
     new_root = new_document.root
@@ -43,8 +45,8 @@ def compute_delta(
             f"root element changed from <{old_root.tag}> to <{new_root.tag}>;"
             " version lineage must be restarted"
         )
-    old_signatures = subtree_signatures(old_root)
-    new_signatures = subtree_signatures(new_root)
+    old_signatures = document_signatures(old_document)
+    new_signatures = document_signatures(new_document)
     delta = Delta()
     _match_elements(
         old_root, new_root, old_signatures, new_signatures, delta, xid_space

@@ -5,6 +5,10 @@ Two subtrees with equal signatures are byte-identical under serialization
 them without further comparison.  Signatures are 64-bit integers derived
 from BLAKE2b, computed bottom-up in one postorder pass.
 
+Each version is signed once: :func:`document_signatures` keeps the map on
+the :class:`Document`, so the repository's whole-document signature and
+both sides of a later ``compute_delta`` read the same pass.
+
 HTML pages are not warehoused by Xyleme; for them the system only keeps "the
 signature of the old page" and can merely report changed/unchanged
 (Section 1).  :func:`page_signature` provides that whole-page signature.
@@ -56,6 +60,14 @@ def subtree_signatures(root: Node) -> Dict[int, int]:
     return signatures
 
 
+def document_signatures(document: Document) -> Dict[int, int]:
+    """:func:`subtree_signatures` of ``document``, computed on first use and
+    kept on ``document.signatures`` for later calls."""
+    if document.signatures is None:
+        document.signatures = subtree_signatures(document.root)
+    return document.signatures
+
+
 def document_signature(document: Document) -> int:
     """Signature of a whole XML document (root subtree)."""
-    return subtree_signatures(document.root)[id(document.root)]
+    return document_signatures(document)[id(document.root)]

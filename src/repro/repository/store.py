@@ -10,6 +10,13 @@ their signature is kept, enough to answer changed/unchanged (Section 1).
 ``store_xml`` returns a :class:`FetchOutcome` carrying everything the
 alerter chain needs: status (new/updated/unchanged), the delta, and both
 versions.
+
+Each version is signed once.  A fetched page is first hashed as raw text;
+when the hash equals that of the text last stored for the URL, the page is
+unchanged and is neither parsed nor signed.  Otherwise it is parsed, and
+the subtree signatures computed for its whole-document signature stay on
+the :class:`Document`, where ``compute_delta`` reuses them now and again
+when the next version arrives.
 """
 
 from __future__ import annotations
@@ -72,6 +79,9 @@ class _StoredDocument:
     #: (version number of the *older* version, delta new->old) pairs, newest
     #: first; applying them successively to ``current`` walks back in time.
     history: List[Tuple[int, Delta]] = field(default_factory=list)
+    #: ``page_signature`` of the raw text last stored (XML only).  None
+    #: after a ``Document`` input or a restore, so the next fetch parses.
+    raw_signature: Optional[int] = None
 
 
 class Repository:
@@ -125,25 +135,37 @@ class Repository:
     def _store_xml(
         self, url: str, content: Union[str, Document]
     ) -> FetchOutcome:
-        document = parse(content) if isinstance(content, str) else content
         now = self.clock.now()
         doc_id = self._by_url.get(url)
-        if doc_id is None:
-            return self._store_new_xml(url, document, now)
-        stored = self._docs[doc_id]
+        stored = None if doc_id is None else self._docs[doc_id]
+        raw_signature = None
+        if isinstance(content, str):
+            raw_signature = page_signature(content)
+            if stored is not None and raw_signature == stored.raw_signature:
+                return self._unchanged(stored, now)
+            document = parse(content)
+        else:
+            document = content
+        if stored is None:
+            outcome = self._store_new_xml(url, document, now)
+            stored = self._docs[outcome.meta.doc_id]
+        else:
+            outcome = self._store_version(stored, document, now)
+        stored.raw_signature = raw_signature
+        return outcome
+
+    def _store_version(
+        self, stored: _StoredDocument, document: Document, now: float
+    ) -> FetchOutcome:
         if stored.meta.kind != XML:
             raise RepositoryError(
-                f"{url} was previously stored as {stored.meta.kind}"
+                f"{stored.meta.url} was previously stored as {stored.meta.kind}"
             )
         assert stored.current is not None and stored.xid_space is not None
         stored.meta.last_accessed = now
         new_signature = document_signature(document)
         if new_signature == stored.meta.signature:
-            return FetchOutcome(
-                meta=stored.meta,
-                status=DOC_UNCHANGED,
-                document=stored.current,
-            )
+            return self._unchanged(stored, now)
         try:
             delta = compute_delta(stored.current, document, stored.xid_space)
         except DiffError:
@@ -153,11 +175,7 @@ class Repository:
             # Content hash differs only through aspects the diff ignores
             # (e.g. DOCTYPE changes); treat as unchanged at element level.
             stored.meta.signature = new_signature
-            return FetchOutcome(
-                meta=stored.meta,
-                status=DOC_UNCHANGED,
-                document=stored.current,
-            )
+            return self._unchanged(stored, now)
         old_document = stored.current
         stored.history.insert(0, (stored.meta.version, delta.inverted()))
         del stored.history[self.keep_versions - 1 :]
@@ -172,6 +190,13 @@ class Repository:
             document=document,
             old_document=old_document,
             delta=delta,
+        )
+
+    @staticmethod
+    def _unchanged(stored: _StoredDocument, now: float) -> FetchOutcome:
+        stored.meta.last_accessed = now
+        return FetchOutcome(
+            meta=stored.meta, status=DOC_UNCHANGED, document=stored.current
         )
 
     def _store_new_xml(
@@ -270,6 +295,8 @@ class Repository:
             return FetchOutcome(meta=meta, status=DOC_NEW)
         stored = self._docs[doc_id]
         stored.meta.last_accessed = now
+        # The signature below replaces any XML one: the next XML fetch parses.
+        stored.raw_signature = None
         if stored.meta.signature == signature:
             return FetchOutcome(meta=stored.meta, status=DOC_UNCHANGED)
         stored.meta.signature = signature

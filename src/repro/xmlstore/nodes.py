@@ -203,9 +203,15 @@ class Document:
     Keeps the doctype name / system id when a ``<!DOCTYPE ...>`` declaration
     was present, because several atomic conditions of the subscription
     language (``DTD = string``, ``DTDID = integer``) key on it.
+
+    ``signatures`` caches the ``id(node) -> signature`` map of the tree,
+    filled on first use by ``repro.diff.signature.document_signatures``.
+    A signed tree must therefore not be mutated (XIDs aside, which the
+    signatures do not cover): callers that edit a document edit a
+    ``copy_document`` copy, which starts unsigned.
     """
 
-    __slots__ = ("root", "doctype_name", "dtd_url")
+    __slots__ = ("root", "doctype_name", "dtd_url", "signatures")
 
     def __init__(
         self,
@@ -216,6 +222,7 @@ class Document:
         self.root = root
         self.doctype_name = doctype_name
         self.dtd_url = dtd_url
+        self.signatures: Optional[Dict[int, int]] = None
 
     def __repr__(self) -> str:
         return f"<Document root={self.root.tag!r} dtd={self.dtd_url!r}>"

@@ -1,8 +1,11 @@
 import pytest
 
+import repro.repository.store as store_module
+from repro.clock import SimulatedClock
 from repro.diff import DOC_NEW, DOC_UNCHANGED, DOC_UPDATED
-from repro.errors import DocumentNotFound, RepositoryError
-from repro.xmlstore import serialize
+from repro.errors import DocumentNotFound, RepositoryError, XMLSyntaxError
+from repro.pipeline import Fetch, SubscriptionSystem
+from repro.xmlstore import parse, serialize
 
 
 class TestStoreXML:
@@ -67,6 +70,103 @@ class TestStoreXML:
             repository.store_xml("http://x/p", "<r/>")
 
 
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Texts handed to the repository's ``parse``, in call order."""
+    calls = []
+
+    def counting_parse(content):
+        calls.append(content)
+        return parse(content)
+
+    monkeypatch.setattr(store_module, "parse", counting_parse)
+    return calls
+
+
+class TestRawTextFastPath:
+    URL = "http://x/a.xml"
+    PAGE = "<r><a>1</a><b k='v'>two</b></r>"
+
+    def test_identical_refetch_is_not_parsed(
+        self, repository, clock, parse_calls
+    ):
+        first = repository.store_xml(self.URL, self.PAGE)
+        clock.advance(10)
+        again = repository.store_xml(self.URL, self.PAGE)
+        assert parse_calls == [self.PAGE]
+        assert again.status == DOC_UNCHANGED
+        assert again.document is first.document
+        assert again.meta.last_accessed == clock.now()
+        assert again.meta.version == 1
+
+    def test_reformatted_refetch_is_parsed_and_unchanged(
+        self, repository, parse_calls
+    ):
+        reformatted = self.PAGE.replace("><", ">\n  <")
+        repository.store_xml(self.URL, self.PAGE)
+        outcome = repository.store_xml(self.URL, reformatted)
+        assert parse_calls == [self.PAGE, reformatted]
+        assert outcome.status == DOC_UNCHANGED
+        # The reformatted text is now the one last stored.
+        repository.store_xml(self.URL, reformatted)
+        assert len(parse_calls) == 2
+
+    def test_first_refetch_after_recovery_is_parsed(
+        self, tmp_path, parse_calls
+    ):
+        journal = str(tmp_path / "j")
+        crashed = SubscriptionSystem(clock=SimulatedClock(990_000_000.0))
+        manager = crashed.enable_recovery(journal)
+        crashed.run_stream([Fetch(url=self.URL, content=self.PAGE)])
+        manager.checkpoint()
+        resumed = SubscriptionSystem(clock=SimulatedClock(990_000_000.0))
+        resumed.recover_runtime(journal)
+        parse_calls.clear()
+        first = resumed.repository.store_xml(self.URL, self.PAGE)
+        second = resumed.repository.store_xml(self.URL, self.PAGE)
+        assert parse_calls == [self.PAGE]
+        assert first.status == second.status == DOC_UNCHANGED
+        assert first.meta.signature == crashed.repository.meta_for_url(
+            self.URL
+        ).signature
+
+    def test_document_input_forgets_the_raw_text(
+        self, repository, parse_calls
+    ):
+        repository.store_xml(self.URL, self.PAGE)
+        outcome = repository.store_xml(self.URL, parse(self.PAGE))
+        assert outcome.status == DOC_UNCHANGED
+        repository.store_xml(self.URL, self.PAGE)
+        assert parse_calls == [self.PAGE, self.PAGE]
+
+    def test_malformed_refetch_rejected_every_time(
+        self, repository, parse_calls
+    ):
+        repository.store_xml(self.URL, self.PAGE)
+        for _ in range(2):
+            with pytest.raises(XMLSyntaxError):
+                repository.store_xml(self.URL, "<r><a>1</r>")
+        assert len(parse_calls) == 3
+        meta = repository.meta_for_url(self.URL)
+        assert meta.version == 1
+        assert repository.store_xml(self.URL, self.PAGE).status == (
+            DOC_UNCHANGED
+        )
+        assert len(parse_calls) == 3
+
+    def test_html_url_fetched_as_xml_still_raises(self, repository):
+        repository.store_html(self.URL, self.PAGE)
+        for _ in range(2):
+            with pytest.raises(RepositoryError):
+                repository.store_xml(self.URL, self.PAGE)
+
+    def test_html_store_forgets_the_raw_text(self, repository, parse_calls):
+        repository.store_xml(self.URL, self.PAGE)
+        repository.store_html(self.URL, "<html>page</html>")
+        repository.store_xml(self.URL, self.PAGE)
+        assert parse_calls == [self.PAGE, self.PAGE]
+
+
 class TestStoreHTML:
     def test_new_then_unchanged_then_updated(self, repository):
         first = repository.store_html("http://x/p.html", "<html>v1</html>")
@@ -114,6 +214,14 @@ class TestVersions:
         assert len(retained) == 3
         with pytest.raises(RepositoryError):
             repository.version(doc_id, 1)
+
+    def test_read_versions_are_unsigned(self, repository):
+        repository.store_xml("http://x/a.xml", "<r><a>1</a></r>")
+        repository.store_xml("http://x/a.xml", "<r><a>2</a></r>")
+        doc_id = repository.meta_for_url("http://x/a.xml").doc_id
+        assert repository.document(doc_id).signatures is None
+        assert repository.version(doc_id, 2).signatures is None
+        assert repository.version(doc_id, 1).signatures is None
 
     def test_current_version_is_a_copy(self, repository):
         repository.store_xml("http://x/a.xml", "<r><a>1</a></r>")
