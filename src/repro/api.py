@@ -8,16 +8,14 @@ module under one flat namespace::
 
     system = api.SubscriptionSystem(batch_size=64)
     system.subscribe(source, owner_email="me@example.org")
-    with api.IngestSession(system) as session:
-        session.run_crawl(crawler)
+    system.run_stream(crawler.due_fetches())
 
 The groups:
 
 * **system** — :class:`SubscriptionSystem`, :class:`Fetch`,
   :class:`FeedResult`, the errors;
-* **ingestion** — :class:`IngestSession`, :class:`IngestReport`,
-  :class:`AsyncFetchFrontend`, :class:`BoundedFetchQueue` and
-  :data:`DEFAULT_BATCH_SIZE`;
+* **ingestion** — :data:`DEFAULT_BATCH_SIZE`, the number of fetches
+  ``SubscriptionSystem.run_stream`` feeds per batch;
 * **resilience** — fault injection, retry, breaker and dead-letter types;
 * **recovery** — :class:`RecoveryManager`, :class:`CrashPoint` and the
   kill-point harness behind ``SubscriptionSystem.enable_recovery`` /
@@ -52,13 +50,9 @@ from .faults import (
 from .recovery import RecoveryManager, RuntimeJournal
 from .observability import MetricsRegistry, NULL_REGISTRY, NullRegistry
 from .pipeline import (
-    AsyncFetchFrontend,
-    BoundedFetchQueue,
     DEFAULT_BATCH_SIZE,
     Fetch,
     FeedResult,
-    IngestReport,
-    IngestSession,
     SubscriptionSystem,
     from_pairs,
 )
@@ -75,10 +69,6 @@ __all__ = [
     "SubscriptionSyntaxError",
     "XMLSyntaxError",
     # ingestion
-    "IngestSession",
-    "IngestReport",
-    "AsyncFetchFrontend",
-    "BoundedFetchQueue",
     "DEFAULT_BATCH_SIZE",
     # resilience
     "FaultInjector",

@@ -204,13 +204,6 @@ def _add_batch_arguments(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="documents per pipeline batch (default: 32)",
     )
-    subparser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        help="bound of the ingest queue between fetching and the pipeline"
-        " (default: 2x batch size)",
-    )
 
 
 def _add_recovery_arguments(subparser: argparse.ArgumentParser) -> None:
@@ -299,8 +292,7 @@ report when count >= 3
 
 def _build_world(
     sites: int, seed: int, batch_size: Optional[int] = None,
-    queue_depth: Optional[int] = None, shards: int = 1,
-    shard_mode: str = "flow", fault_rate: float = 0.0,
+    shards: int = 1, shard_mode: str = "flow", fault_rate: float = 0.0,
     fault_seed: int = 0, database=None, populate: bool = True,
 ):
     """The shared demo/stats/chaos world: one system + one crawler.
@@ -316,7 +308,7 @@ def _build_world(
     clock = SimulatedClock(_SIM_START)
     system = SubscriptionSystem(
         clock=clock, shards=shards, shard_mode=shard_mode,
-        batch_size=batch_size, queue_bound=queue_depth, database=database,
+        batch_size=batch_size, database=database,
     )
     injector = None
     dead_letters = None
@@ -361,14 +353,14 @@ def _drive_world(system, crawler, end_time: float, step: float) -> None:
 def _run_simulation(
     sites: int, days: int, seed: int, shards: int = 1,
     shard_mode: str = "flow", batch_size: Optional[int] = None,
-    queue_depth: Optional[int] = None, fault_rate: float = 0.0,
-    fault_seed: int = 0, journal: Optional[str] = None,
+    fault_rate: float = 0.0, fault_seed: int = 0,
+    journal: Optional[str] = None,
     checkpoint_every: int = 64,
 ):
     """The shared demo/stats/chaos scenario: crawl ``sites`` for ``days``.
 
-    ``batch_size`` / ``queue_depth`` configure stream ingestion (``None``
-    keeps the system defaults).
+    ``batch_size`` configures stream ingestion (``None`` keeps the
+    system default).
 
     With ``fault_rate`` > 0 the crawl runs under a seeded transient-only
     :class:`~repro.faults.FaultInjector` with a shared dead-letter queue,
@@ -393,7 +385,7 @@ def _run_simulation(
         end_time = _SIM_START + days * 86_400.0
     database = Database(path=journal + ".subs") if journal else None
     system, crawler = _build_world(
-        sites, seed, batch_size=batch_size, queue_depth=queue_depth,
+        sites, seed, batch_size=batch_size,
         shards=shards, shard_mode=shard_mode, fault_rate=fault_rate,
         fault_seed=fault_seed, database=database,
     )
@@ -407,7 +399,6 @@ def _run_simulation(
                     "sites": sites, "seed": seed, "shards": shards,
                     "shard_mode": shard_mode,
                     "batch_size": system.batch_size,
-                    "queue_depth": system.queue_bound,
                     "fault_rate": fault_rate, "fault_seed": fault_seed,
                     "checkpoint_every": checkpoint_every,
                     "end_time": end_time, "step": step,
@@ -443,7 +434,7 @@ def _print_fault_summary(system, crawler) -> None:
 def _cmd_demo(args: argparse.Namespace) -> int:
     system, crawler = _run_simulation(
         args.sites, args.days, args.seed,
-        batch_size=args.batch_size, queue_depth=args.queue_depth,
+        batch_size=args.batch_size,
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
         journal=args.journal, checkpoint_every=args.checkpoint_every,
     )
@@ -467,7 +458,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     system, _crawler = _run_simulation(
         args.sites, args.days, args.seed,
         shards=args.shards, shard_mode=args.shard_mode,
-        batch_size=args.batch_size, queue_depth=args.queue_depth,
+        batch_size=args.batch_size,
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
         journal=args.journal, checkpoint_every=args.checkpoint_every,
     )
@@ -513,7 +504,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         system, crawler = _run_simulation(
             args.sites, args.days, args.seed,
-            batch_size=args.batch_size, queue_depth=args.queue_depth,
+            batch_size=args.batch_size,
             fault_rate=args.fault_rate, fault_seed=args.fault_seed,
             journal=args.journal, checkpoint_every=args.checkpoint_every,
         )
@@ -583,7 +574,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     system, crawler = _build_world(
         config["sites"], config["seed"],
         batch_size=config.get("batch_size"),
-        queue_depth=config.get("queue_depth"),
         shards=config["shards"], shard_mode=config["shard_mode"],
         fault_rate=config["fault_rate"], fault_seed=config["fault_seed"],
         database=database, populate=False,

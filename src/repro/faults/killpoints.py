@@ -8,7 +8,7 @@ there.  The points are placed at the pipeline's recovery-relevant
 boundaries:
 
 ``post-fetch``
-    a batch has been pulled off the bounded queue but not yet executed;
+    a batch has been pulled from the stream but not yet executed;
 ``post-match``
     match results exist in memory but nothing has been delivered;
 ``pre-deliver``

@@ -63,12 +63,6 @@ COUNTER_RETRY_ATTEMPTS = "retry.attempts"
 COUNTER_BREAKER_STATE_CHANGES = "breaker.state_changes"  # label: to
 COUNTER_DLQ_QUARANTINED = "dlq.quarantined"  # label: source
 
-# Bounded-ingest counters (the queue between the fetch front-end and the
-# batch loop, ``repro.pipeline.ingest``): they appear only when a
-# stream actually runs through the bounded queue.
-COUNTER_INGEST_BACKPRESSURE_WAITS = "ingest.backpressure_waits"
-COUNTER_FRONTEND_FETCHES = "frontend.fetches"
-
 # Crash-recovery counters (``repro.recovery``): lazily interned — they
 # appear only when recovery is enabled on a system, so zero-recovery
 # snapshots are byte-identical to systems without a journal.
@@ -90,8 +84,6 @@ COUNTER_NAMES: Tuple[str, ...] = (
     COUNTER_RETRY_ATTEMPTS,
     COUNTER_BREAKER_STATE_CHANGES,
     COUNTER_DLQ_QUARANTINED,
-    COUNTER_INGEST_BACKPRESSURE_WAITS,
-    COUNTER_FRONTEND_FETCHES,
     COUNTER_RECOVERY_CHECKPOINTS,
     COUNTER_RECOVERY_REPLAYED,
     COUNTER_RECOVERY_DEDUPED,

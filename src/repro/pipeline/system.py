@@ -9,9 +9,11 @@ leave through the email sink / web publisher.
 
 Documents travel through the staged pipeline of
 :mod:`repro.pipeline.stages`; single pages go through :meth:`feed_xml` /
-:meth:`feed_html`, whole crawls through :meth:`feed_batch` /
-:meth:`run_stream`, which run each batch's pages through the stages one
-at a time, in input order.
+:meth:`feed_html`, whole crawls through :meth:`run_stream`, which pulls
+``batch_size`` fetches at a time and hands each batch to
+:meth:`feed_batch`; a batch's pages run through the stages one at a
+time, in input order.  With crash recovery enabled, a checkpoint may be
+taken between any two batches of a stream.
 
 This is the facade examples and integration tests use::
 
@@ -24,6 +26,7 @@ This is the facade examples and integration tests use::
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..alerters.chain import AlerterChain
@@ -36,6 +39,7 @@ from ..core.sharding import (
 )
 from ..errors import PipelineError, ReportingError
 from ..faults.dlq import DeadLetterEntry, DeadLetterQueue, SOURCE_PIPELINE
+from ..faults.killpoints import KILL_POINT_POST_FETCH, maybe_kill
 from ..minisql import Database
 from ..observability.metrics import MetricsRegistry, split_key
 from ..observability.names import (
@@ -94,7 +98,6 @@ class SubscriptionSystem:
         shard_mode: str = "flow",
         metrics: Optional[MetricsRegistry] = None,
         batch_size: Optional[int] = None,
-        queue_bound: Optional[int] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
     ):
         """``shards`` > 1 distributes the MQP (Section 4.2): ``shard_mode``
@@ -109,9 +112,7 @@ class SubscriptionSystem:
         instrumentation entirely.
 
         ``batch_size`` (documents per :meth:`run_stream` batch, default
-        32) and ``queue_bound`` (the ingest-queue bound used by
-        :meth:`run_stream`, default 2x the batch size) configure stream
-        ingestion.
+        32) configures stream ingestion.
 
         ``dead_letters`` quarantines pages the loader rejects instead of
         silently dropping them: each rejected fetch becomes a
@@ -196,19 +197,9 @@ class SubscriptionSystem:
             COUNTER_NOTIFICATIONS_EMITTED
         )
         self._subscriptions_gauge = self.metrics.gauge(GAUGE_SUBSCRIPTIONS)
-        if batch_size is None:
-            batch_size = DEFAULT_BATCH_SIZE
-        if batch_size < 1:
-            raise PipelineError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = int(batch_size)
-        if queue_bound is None:
-            queue_bound = 2 * self.batch_size
-        if queue_bound < self.batch_size:
-            raise PipelineError(
-                f"queue_bound ({queue_bound}) must be >= batch_size"
-                f" ({self.batch_size}) or full batches could never form"
-            )
-        self.queue_bound = int(queue_bound)
+        self.batch_size = _checked_batch_size(
+            DEFAULT_BATCH_SIZE if batch_size is None else batch_size
+        )
         self.dead_letters = dead_letters
         #: The attached RecoveryManager, if crash recovery is enabled
         #: (see enable_recovery / recover_runtime).
@@ -347,8 +338,6 @@ class SubscriptionSystem:
                     )
             elif task.done:
                 results.append(task.result())
-        if self.recovery is not None:
-            self.recovery.note_batch()
         return results
 
     def run_stream(
@@ -356,19 +345,18 @@ class SubscriptionSystem:
         stream: Iterable[Fetch],
         skip_malformed: bool = True,
         batch_size: Optional[int] = None,
-        queue_bound: Optional[int] = None,
     ) -> List[FeedResult]:
-        """Feed a whole stream through the bounded ingest queue.
+        """Feed a whole stream, ``batch_size`` fetches at a time.
 
-        A feeder thread drains ``stream`` into a
-        :class:`~repro.pipeline.ingest.BoundedFetchQueue` of ``queue_bound``
-        items (default: the system's ``queue_bound``) while this thread
-        consumes batches of ``batch_size`` (default: the system's
-        ``batch_size``) via :meth:`feed_batch` — so a slow pipeline
-        throttles the stream (``ingest.backpressure_waits``) instead of
-        buffering it, and ``executor.queue_depth`` can genuinely saturate.
+        Pulls up to ``batch_size`` (default: the system's ``batch_size``)
+        fetches from ``stream``, feeds them through :meth:`feed_batch`,
+        and repeats until the stream is exhausted.  With recovery enabled
+        the :class:`~repro.recovery.RecoveryManager` is told after each
+        batch returns, so a due checkpoint is taken at that batch
+        boundary.  If ``stream`` raises, the batches already fed stay
+        fed and the partly pulled batch is lost.
 
-        Per-document semantics are unchanged from eager chunking: with
+        Per-document semantics are those of :meth:`feed_batch`: with
         ``skip_malformed`` (the default) a page the loader rejects — any
         :class:`~repro.errors.ReproError` subclass it raises, not only
         :class:`~repro.errors.XMLSyntaxError` — is counted
@@ -376,15 +364,23 @@ class SubscriptionSystem:
         ``pipeline.documents_rejected{reason=...}`` metric recording the
         error class) and skipped rather than aborting the stream.
         """
-        from .ingest import IngestSession
-
-        session = IngestSession(
-            self,
-            batch_size=batch_size,
-            queue_bound=queue_bound,
-            skip_malformed=skip_malformed,
+        size = (
+            self.batch_size
+            if batch_size is None
+            else _checked_batch_size(batch_size)
         )
-        return session.run(stream)
+        fetches = iter(stream)
+        results: List[FeedResult] = []
+        while True:
+            batch = list(islice(fetches, size))
+            if not batch:
+                return results
+            maybe_kill(KILL_POINT_POST_FETCH)
+            results.extend(
+                self.feed_batch(batch, skip_malformed=skip_malformed)
+            )
+            if self.recovery is not None:
+                self.recovery.note_batch()
 
     def requeue_dead_letters(self) -> Tuple[int, int]:
         """Replay every quarantined document through the pipeline.
@@ -424,7 +420,7 @@ class SubscriptionSystem:
         notification to ``path`` (a :class:`~repro.minisql.wal.WriteAheadLog`)
         and checkpoint the full runtime — reporter buffers, repository,
         DLQ, and the ``crawler`` / ``estimator`` cursors when given —
-        every ``checkpoint_every`` ingested batches.  An initial
+        every ``checkpoint_every`` :meth:`run_stream` batches.  An initial
         checkpoint is written immediately so *any* later crash has a
         restorable snapshot.  Returns the attached
         :class:`~repro.recovery.RecoveryManager`.
@@ -578,3 +574,9 @@ class SubscriptionSystem:
             query_text, report_document, name="Report"
         )
         return result.to_document()
+
+
+def _checked_batch_size(batch_size: int) -> int:
+    if batch_size < 1:
+        raise PipelineError(f"batch_size must be >= 1, got {batch_size}")
+    return int(batch_size)

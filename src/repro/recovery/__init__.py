@@ -16,15 +16,15 @@ Three pieces:
   (reporter buffers, repository, crawler cursor, breakers, DLQ, RNGs);
 * :class:`RecoveryManager` — the coordinator wired into a
   :class:`~repro.pipeline.system.SubscriptionSystem`: journals every
-  delivery, checkpoints every ``checkpoint_every`` batches (at
-  stream-quiescent points), and dedups redelivery on resume so the
-  journal is an exactly-once channel.
+  delivery, checkpoints every ``checkpoint_every`` batches (at any
+  batch boundary of ``run_stream``, mid-stream included), and dedups
+  redelivery on resume so the journal is an exactly-once channel.
 
 Entry points: ``SubscriptionSystem.enable_recovery()`` /
-``SubscriptionSystem.recover_runtime()``, ``IngestSession.resume()`` and
-the ``repro-monitor resume`` CLI subcommand.  The deterministic crash
-harness lives in :mod:`repro.faults.killpoints`.  See
-docs/ROBUSTNESS.md, "Crash recovery & exactly-once delivery".
+``SubscriptionSystem.recover_runtime()`` and the ``repro-monitor
+resume`` CLI subcommand.  The deterministic crash harness lives in
+:mod:`repro.faults.killpoints`.  See docs/ROBUSTNESS.md, "Crash
+recovery & exactly-once delivery".
 """
 
 from .journal import RuntimeJournal

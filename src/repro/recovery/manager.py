@@ -7,13 +7,14 @@ One manager attaches to one :class:`~repro.pipeline.system.SubscriptionSystem`
   each outgoing notification is assigned a deterministic delivery id and
   appended to the :class:`~repro.recovery.journal.RuntimeJournal`
   *before* the in-memory report buffers absorb it;
-* **checkpoint periodically** — every ``checkpoint_every`` ingested
-  batches it captures the full runtime
+* **checkpoint periodically** — ``SubscriptionSystem.run_stream``
+  calls :meth:`RecoveryManager.note_batch` after each batch returns from
+  ``feed_batch``, and every ``checkpoint_every`` batches the manager
+  captures the full runtime
   (:func:`repro.recovery.state.capture_runtime`) and compacts the
-  journal.  Checkpoints only happen at stream-quiescent points: while an
-  :class:`~repro.pipeline.ingest.IngestSession` stream is active the
-  checkpoint is deferred to stream end (the feeder thread would race the
-  crawler state otherwise);
+  journal.  A batch boundary is a sound resume point even in the middle
+  of a stream: the stream is pulled on the same thread, so the crawler
+  has yielded exactly the fetches already fed;
 * **dedup on resume** — after a crash, ``recover_runtime`` reloads the
   journal; the resumed run rewinds to the checkpoint and regenerates the
   post-checkpoint window, and the manager recognises the recomputed
@@ -84,8 +85,6 @@ class RecoveryManager:
         self.deduped = 0
         self.replayed = 0
         self._batches_since_checkpoint = 0
-        self._stream_active = False
-        self._checkpoint_due = False
 
     # -- wiring ------------------------------------------------------------
 
@@ -155,32 +154,11 @@ class RecoveryManager:
     # -- checkpoint cadence ------------------------------------------------
 
     def note_batch(self) -> None:
-        """Called by the system after every ingested batch; triggers a
-        checkpoint each ``checkpoint_every`` batches (deferred to stream
-        end while a stream is active)."""
+        """Called by ``run_stream`` after every batch it fed; takes a
+        checkpoint each ``checkpoint_every`` batches."""
         self._batches_since_checkpoint += 1
         if self._batches_since_checkpoint >= self.checkpoint_every:
-            if self._stream_active:
-                self._checkpoint_due = True
-            else:
-                self.checkpoint()
-
-    def stream_started(self) -> None:
-        self._stream_active = True
-
-    def stream_finished(self) -> None:
-        """Stream drained cleanly — fire any deferred checkpoint now that
-        the runtime is quiescent."""
-        self._stream_active = False
-        if self._checkpoint_due:
             self.checkpoint()
-
-    def stream_aborted(self) -> None:
-        """Stream unwound on an exception (including a
-        :class:`~repro.faults.killpoints.CrashPoint`): never checkpoint
-        here — the runtime is mid-stream and a snapshot of it would not
-        be a sound resume point."""
-        self._stream_active = False
 
     def checkpoint(self) -> None:
         """Capture the runtime and compact the journal."""
@@ -195,7 +173,6 @@ class RecoveryManager:
         self.checkpoints += 1
         self._checkpoint_counter.inc()
         self._batches_since_checkpoint = 0
-        self._checkpoint_due = False
 
     def close(self) -> None:
         self.journal.close()

@@ -115,23 +115,34 @@ class TestPipelineDocument:
                         )
 
     def test_documented_batch_settings_match_code(self):
-        from repro.pipeline import DEFAULT_BATCH_SIZE
+        import inspect
+
+        from repro.pipeline import DEFAULT_BATCH_SIZE, SubscriptionSystem
 
         doc = read("docs/PIPELINE.md")
-        for setting in ("`batch_size=`", "`queue_bound=`",
-                        "`--batch-size`", "`--queue-depth`"):
+        for setting in ("`batch_size=`", "`--batch-size`"):
             assert setting in doc, f"{setting} undocumented"
         assert f"| {DEFAULT_BATCH_SIZE} (`DEFAULT_BATCH_SIZE`) |" in doc
+        for method in (SubscriptionSystem.__init__,
+                       SubscriptionSystem.run_stream):
+            parameters = inspect.signature(method).parameters
+            assert "batch_size" in parameters
+            assert "queue_bound" not in parameters
 
     def test_ingest_metrics_mentioned(self):
-        from repro.observability.names import (
-            COUNTER_FRONTEND_FETCHES,
-            COUNTER_INGEST_BACKPRESSURE_WAITS,
-        )
+        """The bounded-queue metrics are gone from the code and marked
+        removed in the migration table."""
+        from repro.observability.names import ALL_METRIC_NAMES
 
         doc = read("docs/PIPELINE.md")
-        assert COUNTER_INGEST_BACKPRESSURE_WAITS in doc
-        assert COUNTER_FRONTEND_FETCHES in doc
+        rows = [
+            line for line in doc.splitlines()
+            if line.startswith("`ingest.backpressure_waits`")
+        ]
+        assert rows and "| removed" in rows[0]
+        for name in ("ingest.backpressure_waits", "frontend.fetches"):
+            assert f"`{name}`" in rows[0]
+            assert name not in ALL_METRIC_NAMES
 
     def test_readme_links_pipeline_doc(self):
         assert "docs/PIPELINE.md" in read("README.md")

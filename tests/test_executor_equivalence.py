@@ -5,9 +5,8 @@ unchanged content, malformed pages, HTML mixed with XML — and asserts that
 ``run_stream`` at a drawn batch size produces exactly what it produces at
 ``batch_size=1`` (one document at a time): the same notifications, the
 same rejection accounting and the same counters, on single and
-flow-sharded MQPs.  Only the ``executor.*`` and ``ingest.*`` series may
-differ: they describe the batches and the queue, so they depend on the
-batch size by design.
+flow-sharded MQPs.  Only the ``executor.*`` series may differ: they
+describe the batches, so they depend on the batch size by design.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ batch_sizes = st.integers(min_value=1, max_value=7)
 
 
 #: Counter families that describe batching itself, not the stream.
-BATCH_DEPENDENT = ("executor.", "ingest.")
+BATCH_DEPENDENT = ("executor.",)
 
 
 def run(stream, batch_size, **kwargs):

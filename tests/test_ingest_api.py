@@ -1,33 +1,24 @@
-"""The ingest API: batch settings, bounded queue, facade, front-end.
+"""The ingest API: batch settings, the stream loop, the facade.
 
-Pins the public-surface promises of the ingest layer:
+Pins the public-surface promises of stream ingestion:
 
-* ``batch_size`` / ``queue_bound`` default to 32 / 2x the batch size,
-  keyword arguments override them, and impossible bounds are rejected;
-* ``run_stream`` routes through the bounded queue — ``executor.queue_depth``
-  can genuinely saturate (peak <= bound, backpressure counted) while a
-  rejected page is still counted and skipped;
-* ``repro.api`` is the stable facade;
-* the asyncio fetch front-end drains a crawler concurrently into the
-  same queue.
+* ``batch_size`` defaults to 32, the keyword argument overrides it, and
+  a non-positive size is rejected;
+* ``run_stream`` pulls ``batch_size`` fetches at a time and feeds each
+  batch through ``feed_batch`` on the calling thread — the
+  ``executor.queue_depth`` gauge holds the batch in flight, a rejected
+  page is counted and skipped, and a failure stops the stream where it
+  happened;
+* ``repro.api`` is the stable facade.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
 from repro.clock import SECONDS_PER_DAY, SimulatedClock
 from repro.errors import PipelineError, XMLSyntaxError
-from repro.pipeline import (
-    BoundedFetchQueue,
-    Fetch,
-    IngestSession,
-    SubscriptionSystem,
-    from_pairs,
-)
+from repro.pipeline import Fetch, SubscriptionSystem, from_pairs
 
 SOURCE = """
 subscription Ingest
@@ -60,111 +51,63 @@ class TestPrecedence:
     """kwarg > default."""
 
     def test_kwargs_override_defaults(self):
-        system = SubscriptionSystem(
-            clock=SimulatedClock(0.0), batch_size=8, queue_bound=24
-        )
+        system = SubscriptionSystem(clock=SimulatedClock(0.0), batch_size=8)
         assert system.batch_size == 8
-        assert system.queue_bound == 24
 
     def test_defaults(self):
         system = SubscriptionSystem(clock=SimulatedClock(0.0))
         assert system.batch_size == 32
-        assert system.queue_bound == 64
 
-    def test_queue_bound_below_batch_size_rejected(self):
+    def test_batch_size_below_one_rejected(self):
         with pytest.raises(PipelineError):
-            SubscriptionSystem(
-                clock=SimulatedClock(0.0), batch_size=32, queue_bound=8
-            )
+            SubscriptionSystem(clock=SimulatedClock(0.0), batch_size=0)
+        system = build_system()
+        with pytest.raises(PipelineError):
+            system.run_stream(from_pairs(xml_pages(2)), batch_size=0)
 
 
-class TestBoundedFetchQueue:
-    def test_put_blocks_at_bound_and_counts_waits(self):
-        queue = BoundedFetchQueue(4)
-        for i in range(4):
-            queue.put(Fetch(f"http://x/{i}.xml", "<r/>"))
-        blocked = threading.Event()
-
-        def producer():
-            blocked.set()
-            queue.put(Fetch("http://x/overflow.xml", "<r/>"))
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        blocked.wait()
-        time.sleep(0.05)
-        assert len(queue) == 4  # the fifth put is parked
-        assert queue.next_batch(2) is not None
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert queue.backpressure_waits == 1
-        assert queue.peak_depth <= queue.bound
-
-    def test_failure_after_full_batches(self):
-        queue = BoundedFetchQueue(8)
-        for i in range(5):
-            queue.put(Fetch(f"http://x/{i}.xml", "<r/>"))
-        queue.fail(XMLSyntaxError("stream died"))
-        assert len(queue.next_batch(4)) == 4  # full batch still served
-        with pytest.raises(XMLSyntaxError):
-            queue.next_batch(4)  # partial tail discarded, error raised
-
-    def test_close_yields_final_partial_then_none(self):
-        queue = BoundedFetchQueue(8)
-        for i in range(5):
-            queue.put(Fetch(f"http://x/{i}.xml", "<r/>"))
-        queue.close()
-        assert len(queue.next_batch(4)) == 4
-        assert len(queue.next_batch(4)) == 1
-        assert queue.next_batch(4) is None
-
-    def test_close_after_fail_is_a_no_op(self):
-        """The feeder thread closes the queue in its normal epilogue; if
-        the stream already failed, that close must not raise."""
-        queue = BoundedFetchQueue(8)
-        queue.put(Fetch("http://x/0.xml", "<r/>"))
-        queue.fail(XMLSyntaxError("stream died"))
-        queue.close()  # must not be a PipelineError
-        with pytest.raises(XMLSyntaxError):
-            queue.next_batch(4)
-
-
-class TestRunStreamThroughQueue:
-    def test_queue_depth_saturates_at_bound(self):
-        system = build_system(batch_size=4, queue_bound=8)
-        slow = iter(xml_pages(40))
-
-        def stream():
-            for url, content in slow:
-                yield Fetch(url, content)
-
-        results = system.run_stream(stream())
-        assert len(results) == 40
-        gauge = system.metrics_snapshot()["gauges"]["executor.queue_depth"]
-        assert gauge == 0  # drained at the end
-        # The ingest report is exposed via IngestSession; re-run through
-        # one to read the peak.
-        session = IngestSession(system, batch_size=4, queue_bound=8)
-        session.run(from_pairs(xml_pages(40)))
-        report = session.last_report
-        assert report.documents == 40
-        assert report.batches == 10
-        assert 0 < report.peak_queue_depth <= 8
-
-    def test_backpressure_fires_when_executor_is_slow(self):
-        system = build_system(batch_size=2, queue_bound=2)
+class TestRunStreamLoop:
+    def test_batches_of_batch_size_in_stream_order(self):
+        system = build_system(batch_size=4)
+        seen = []
         original = system.feed_batch
 
-        def slow_feed_batch(batch, skip_malformed=True):
-            time.sleep(0.02)
+        def recording_feed_batch(batch, skip_malformed=True):
+            seen.append([fetch.url for fetch in batch])
             return original(batch, skip_malformed=skip_malformed)
 
-        system.feed_batch = slow_feed_batch
-        session = IngestSession(system, batch_size=2, queue_bound=2)
-        session.run(from_pairs(xml_pages(12)))
-        assert session.last_report.backpressure_waits > 0
-        counters = system.metrics_snapshot()["counters"]
-        assert counters["ingest.backpressure_waits"] >= 1
+        system.feed_batch = recording_feed_batch
+        results = system.run_stream(from_pairs(xml_pages(10)))
+        assert len(results) == 10
+        assert [len(batch) for batch in seen] == [4, 4, 2]
+        assert [url for batch in seen for url in batch] == [
+            url for url, _ in xml_pages(10)
+        ]
+        gauge = system.metrics_snapshot()["gauges"]["executor.queue_depth"]
+        assert gauge == 0  # drained at the end
+
+    def test_per_call_batch_size_overrides_the_system(self):
+        system = build_system(batch_size=4)
+        system.run_stream(from_pairs(xml_pages(10)), batch_size=3)
+        histogram = system.metrics_snapshot()["histograms"][
+            "executor.batch_size{executor=serial}"
+        ]
+        assert histogram["count"] == 4  # 3 + 3 + 3 + 1
+
+    def test_queue_depth_gauge_holds_the_batch_in_flight(self):
+        system = build_system(batch_size=4)
+        gauge = system.metrics.gauge("executor.queue_depth")
+        depths = []
+        store_xml = system.repository.store_xml
+
+        def spying_store_xml(*args, **kwargs):
+            depths.append(gauge.value)
+            return store_xml(*args, **kwargs)
+
+        system.repository.store_xml = spying_store_xml
+        system.run_stream(from_pairs(xml_pages(6)))
+        assert depths == [4, 4, 4, 4, 2, 2]
+        assert gauge.value == 0
 
     def test_rejection_semantics_unchanged(self):
         """Regression: a rejected page is counted and skipped."""
@@ -186,42 +129,39 @@ class TestRunStreamThroughQueue:
         # Documents after the failing batch never entered the pipeline.
         assert system.documents_fed < len(pages)
 
-    def test_feeder_thread_terminates_when_executor_raises(self):
-        """A consumer-side failure cancels the queue so the feeder's
-        blocked put unblocks — no orphaned producer thread survives."""
-        system = build_system(batch_size=2, queue_bound=2)
+    def test_feed_batch_failure_stops_pulling_the_stream(self):
+        """A pipeline failure propagates at once: the stream is not
+        pulled past the batch that failed."""
+        system = build_system(batch_size=2)
+        pulled = []
+
+        def stream():
+            for url, content in xml_pages(40):
+                pulled.append(url)
+                yield Fetch(url, content)
 
         def exploding_feed_batch(batch, skip_malformed=True):
             raise RuntimeError("pipeline died")
 
         system.feed_batch = exploding_feed_batch
-        session = IngestSession(system, batch_size=2, queue_bound=2)
-        # 40 pages >> queue bound: the feeder is parked on a full put
-        # at the moment feed_batch raises.
         with pytest.raises(RuntimeError, match="pipeline died"):
-            session.run(from_pairs(xml_pages(40)))
-        assert not any(
-            thread.name == "repro-ingest-feeder" and thread.is_alive()
-            for thread in threading.enumerate()
-        )
+            system.run_stream(stream())
+        assert len(pulled) == 2
 
-    def test_crash_point_unwinds_the_feeder_thread(self):
-        """A simulated process death (BaseException, not Exception) must
-        also join the feeder before propagating."""
+    def test_crash_point_at_post_fetch_precedes_the_batch(self):
+        """A simulated process death (BaseException, not Exception) at
+        ``post-fetch`` fires after the batch is pulled and before any of
+        its pages is fed."""
         from repro.faults import CrashPoint, clear, install
 
-        system = build_system(batch_size=2, queue_bound=2)
-        session = IngestSession(system, batch_size=2, queue_bound=2)
-        install("post-fetch", at=1)
+        system = build_system(batch_size=2)
+        install("post-fetch", at=2)
         try:
             with pytest.raises(CrashPoint):
-                session.run(from_pairs(xml_pages(40)))
+                system.run_stream(from_pairs(xml_pages(40)))
         finally:
             clear()
-        assert not any(
-            thread.name == "repro-ingest-feeder" and thread.is_alive()
-            for thread in threading.enumerate()
-        )
+        assert system.documents_fed == 2
 
     def test_stream_failure_loses_only_partial_tail(self):
         """A stream that raises mid-iteration loses only the partially
@@ -238,28 +178,7 @@ class TestRunStreamThroughQueue:
         # Two full batches (6 docs) processed; the partial 7th is lost.
         assert old.documents_fed == 6
 
-
-class TestIngestSessionAndFrontend:
-    def test_run_crawl_drains_concurrently(self):
-        from repro.webworld import ChangeModel, SimulatedCrawler, SiteGenerator
-
-        system = build_system(batch_size=4)
-        generator = SiteGenerator(seed=3)
-        crawler = SimulatedCrawler(
-            clock=system.clock, change_model=ChangeModel(seed=4), seed=5
-        )
-        for i in range(10):
-            crawler.add_xml_page(
-                f"http://www.shop{i}.example/catalog.xml",
-                generator.catalog(products=3),
-            )
-        with IngestSession(system) as session:
-            results = session.run_crawl(crawler, concurrency=4)
-        assert len(results) == 10
-        counters = system.metrics_snapshot()["counters"]
-        assert counters["frontend.fetches"] == 10
-
-    def test_run_crawl_respects_refresh_schedule(self):
+    def test_crawl_respects_refresh_schedule(self):
         from repro.webworld import SimulatedCrawler, SiteGenerator
 
         system = build_system()
@@ -267,24 +186,10 @@ class TestIngestSessionAndFrontend:
         crawler.add_xml_page(
             "http://www.shop.example/c.xml", SiteGenerator(seed=1).catalog(2)
         )
-        session = IngestSession(system)
-        assert len(session.run_crawl(crawler)) == 1
-        assert session.run_crawl(crawler) == []  # nothing due yet
+        assert len(system.run_stream(crawler.due_fetches())) == 1
+        assert system.run_stream(crawler.due_fetches()) == []  # not due yet
         system.clock.advance(SECONDS_PER_DAY)
-        assert len(session.run_crawl(crawler)) == 1
-
-    def test_session_defaults_come_from_system(self):
-        system = build_system(batch_size=8, queue_bound=40)
-        session = IngestSession(system)
-        assert session.batch_size == 8
-        assert session.queue_bound == 40
-
-    def test_session_validates_bounds(self):
-        system = build_system()
-        with pytest.raises(PipelineError):
-            IngestSession(system, batch_size=0)
-        with pytest.raises(PipelineError):
-            IngestSession(system, batch_size=8, queue_bound=4)
+        assert len(system.run_stream(crawler.due_fetches())) == 1
 
 
 class TestApiFacade:
@@ -300,11 +205,10 @@ class TestApiFacade:
     def test_facade_covers_the_redesign(self):
         from repro import api
 
-        for name in (
-            "IngestSession",
-            "AsyncFetchFrontend",
-            "BoundedFetchQueue",
-            "IngestReport",
-        ):
+        for name in ("SubscriptionSystem", "Fetch", "FeedResult",
+                     "from_pairs", "DEFAULT_BATCH_SIZE"):
             assert name in api.__all__
             assert hasattr(api, name)
+        for removed in ("IngestSession", "IngestReport",
+                        "AsyncFetchFrontend", "BoundedFetchQueue"):
+            assert not hasattr(api, removed)

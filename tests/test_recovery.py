@@ -5,7 +5,9 @@ crash a fault-injected crawl at *every* kill point under several seeds,
 recover into a fresh world (simulating a new process), resume — and the
 final journal must hold exactly the fault-free run's delivery ids, with
 ``recovery.deduped == recovery.replayed`` proving no delivery was ever
-journaled (or would have been emailed) twice.
+journaled (or would have been emailed) twice.  The same matrix runs
+again with ``batch_size=2`` and ``checkpoint_every=1``, so checkpoints
+land between the batches of one ``run_stream`` call.
 
 The satellites around it: journal/WAL unit semantics (including the
 torn ``mid-checkpoint`` state), the kill-point switch itself, the
@@ -40,7 +42,7 @@ from repro.faults.killpoints import (
     KILL_POINT_PRE_DELIVER,
 )
 from repro.minisql import Database
-from repro.pipeline import IngestSession, SubscriptionSystem, from_pairs
+from repro.pipeline import SubscriptionSystem, from_pairs
 from repro.recovery import RecoveryManager, RuntimeJournal
 from repro.recovery.state import capture_runtime, restore_runtime
 from repro.webworld import ChangeModel, SimulatedCrawler, SiteGenerator
@@ -69,9 +71,11 @@ def _disarm_kill_switch():
     clear()
 
 
-def build_world(subs_db, seed, fault_seed=0):
+def build_world(subs_db, seed, fault_seed=0, batch_size=4):
     clock = SimulatedClock(START)
-    system = SubscriptionSystem(clock=clock, database=subs_db, batch_size=4)
+    system = SubscriptionSystem(
+        clock=clock, database=subs_db, batch_size=batch_size
+    )
     dead_letters = DeadLetterQueue(metrics=system.metrics)
     system.dead_letters = dead_letters
     injector = FaultInjector(
@@ -107,6 +111,13 @@ def drive(system, crawler):
     while system.clock.now() < END:
         system.run_stream(crawler.due_fetches())
         system.advance_time(3600)
+
+
+def pages(count):
+    return [
+        (f"http://a.example/{i}.xml", "<r><a>hi</a></r>")
+        for i in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -351,48 +362,63 @@ class TestRecoveryManager:
         manager = system.enable_recovery(
             str(tmp_path / "j"), checkpoint_every=2
         )
-        for i in range(4):  # 4 quiescent batches -> 2 checkpoints
-            system.feed_batch(
-                from_pairs([(f"http://a.example/{i}.xml", "<r><a>hi</a></r>")])
-            )
+        system.run_stream(from_pairs(pages(8)))  # 4 batches -> 2 checkpoints
         assert manager.checkpoints == 3  # initial + 2
+        # A bare feed_batch is not a stream batch and never checkpoints.
+        for _ in range(2):
+            system.feed_batch(from_pairs(pages(2)))
+        assert manager.checkpoints == 3
 
-    def test_mid_stream_checkpoint_deferred_to_stream_end(self, tmp_path):
+    def test_mid_stream_checkpoint_after_each_batch(self, tmp_path):
         system = SubscriptionSystem(
             clock=SimulatedClock(START), batch_size=2
         )
         manager = system.enable_recovery(
             str(tmp_path / "j"), checkpoint_every=1
         )
-        during = []
-        original = manager.checkpoint
+        returned = []
+        inside = []
+        feed_batch = system.feed_batch
 
-        def spy():
-            during.append(manager._stream_active)
-            original()
+        def spy_feed_batch(batch, skip_malformed=True):
+            inside.append(True)
+            try:
+                return feed_batch(batch, skip_malformed=skip_malformed)
+            finally:
+                inside.pop()
+                returned.append(len(batch))
 
-        manager.checkpoint = spy
-        pages = [
-            (f"http://a.example/{i}.xml", "<r><a>hi</a></r>")
-            for i in range(6)
-        ]
-        system.run_stream(from_pairs(pages))
-        # Every checkpoint fired at a quiescent point: never mid-stream.
-        assert during and all(active is False for active in during)
+        taken = []
+        checkpoint = manager.checkpoint
 
-    def test_crash_mid_stream_never_checkpoints(self, tmp_path):
-        subs = Database(path=str(tmp_path / "s.subs"))
-        system, crawler = build_world(subs, seed=7)
-        seed_world(system, crawler, seed=7)
-        manager = system.enable_recovery(
-            str(tmp_path / "j"), crawler=crawler, checkpoint_every=1
+        def spy_checkpoint():
+            taken.append((bool(inside), len(returned)))
+            checkpoint()
+
+        system.feed_batch = spy_feed_batch
+        manager.checkpoint = spy_checkpoint
+        system.run_stream(from_pairs(pages(6)))
+        # One checkpoint per batch, each after its feed_batch returned:
+        # the first two land between batches of the same stream.
+        assert taken == [(False, 1), (False, 2), (False, 3)]
+        assert manager.checkpoints == 4  # initial + 3
+
+    def test_crash_mid_stream_keeps_checkpoints_of_fed_batches(
+        self, tmp_path
+    ):
+        system = SubscriptionSystem(
+            clock=SimulatedClock(START), batch_size=2
         )
-        install(KILL_POINT_POST_FETCH, at=1)
+        manager = system.enable_recovery(
+            str(tmp_path / "j"), checkpoint_every=1
+        )
+        install(KILL_POINT_POST_FETCH, at=3)
         with pytest.raises(CrashPoint):
-            drive(system, crawler)
-        # Only the initial enable_recovery checkpoint exists: the armed
-        # stream aborted before reaching a quiescent point.
-        assert manager.checkpoints == 1
+            system.run_stream(from_pairs(pages(6)))
+        # The initial checkpoint plus one per batch fed before the crash
+        # pulled the third.
+        assert manager.checkpoints == 3
+        assert system.documents_fed == 4
 
     def test_repeated_payloads_get_distinct_ids(self, tmp_path):
         system = SubscriptionSystem(clock=SimulatedClock(START))
@@ -445,6 +471,40 @@ def fault_free_deliveries(tmp_path_factory, seed):
         assert manager.deduped == 0
         _baselines[seed] = frozenset(manager.seen)
     return _baselines[seed]
+
+
+class MidStreamCheckpointSpy:
+    """Counts checkpoints taken between two batches of one
+    ``run_stream`` call."""
+
+    def __init__(self, system, manager):
+        self.between_batches = 0
+        self._in_stream = False
+        self._after_checkpoint = False
+        run_stream = system.run_stream
+        feed_batch = system.feed_batch
+        checkpoint = manager.checkpoint
+
+        def spy_run_stream(*args, **kwargs):
+            self._in_stream, self._after_checkpoint = True, False
+            try:
+                return run_stream(*args, **kwargs)
+            finally:
+                self._in_stream = False
+
+        def spy_feed_batch(*args, **kwargs):
+            if self._after_checkpoint:
+                self.between_batches += 1
+                self._after_checkpoint = False
+            return feed_batch(*args, **kwargs)
+
+        def spy_checkpoint():
+            checkpoint()
+            self._after_checkpoint = self._in_stream
+
+        system.run_stream = spy_run_stream
+        system.feed_batch = spy_feed_batch
+        manager.checkpoint = spy_checkpoint
 
 
 class TestExactlyOnceCrashRecovery:
@@ -526,11 +586,48 @@ class TestExactlyOnceCrashRecovery:
             fault_free_deliveries(tmp_path_factory, seed)
         )
 
-    def test_resume_requires_a_recovered_system(self):
-        system = SubscriptionSystem(clock=SimulatedClock(START))
-        session = IngestSession(system)
-        with pytest.raises(RecoveryError, match="recover_runtime"):
-            session.resume(iter([]))
+    @pytest.mark.parametrize("point,at", CRASH_MATRIX)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mid_stream_checkpoints_are_exactly_once(
+        self, tmp_path, tmp_path_factory, point, at, seed
+    ):
+        """The same property with ``batch_size=2`` and
+        ``checkpoint_every=1``: every hourly stream of three or more
+        fetches is checkpointed between two of its batches, so crashes
+        and resumes happen mid-stream."""
+        baseline = fault_free_deliveries(tmp_path_factory, seed)
+        subs_path = str(tmp_path / "run.subs")
+        journal = str(tmp_path / "run.journal")
+
+        system, crawler = build_world(
+            Database(path=subs_path), seed=seed, batch_size=2
+        )
+        seed_world(system, crawler, seed=seed)
+        doomed = system.enable_recovery(
+            journal, crawler=crawler, checkpoint_every=1
+        )
+        spy = MidStreamCheckpointSpy(system, doomed)
+        install(point, at=at)
+        with pytest.raises(CrashPoint) as crash:
+            drive(system, crawler)
+        assert crash.value.point == point
+
+        fresh, fresh_crawler = build_world(
+            Database.recover(subs_path), seed=seed, batch_size=2
+        )
+        manager = fresh.recover_runtime(
+            journal, crawler=fresh_crawler, checkpoint_every=1
+        )
+        resumed_spy = MidStreamCheckpointSpy(fresh, manager)
+        drive(fresh, fresh_crawler)
+
+        assert spy.between_batches + resumed_spy.between_batches >= 1
+        assert manager.deduped == manager.replayed
+        assert set(manager.seen) == set(baseline), (
+            f"{point}@{at} seed={seed}: "
+            f"missing={len(baseline - manager.seen)} "
+            f"extra={len(manager.seen - baseline)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +654,35 @@ class TestCliCrashResume:
         assert main(args + ["--kill", "post-deliver:2"]) == 42
         out = capsys.readouterr().out
         assert "crashed at kill point post-deliver (hit 2)" in out
-        # The checkpoint carries the batch settings the resume rebuilds.
+        # The checkpoint carries the batch size the resume rebuilds.
         config = read_snapshot(journal)["state"]["metadata"]["cli"]
-        assert (config["batch_size"], config["queue_depth"]) == (8, 16)
+        assert config["batch_size"] == 8
+
+        assert main(["resume", "--journal", journal]) == 0
+        out = capsys.readouterr().out
+        assert "resume: OK (exactly-once delivery held)" in out
+
+    def test_resume_accepts_a_checkpoint_with_queue_depth(
+        self, tmp_path, capsys
+    ):
+        """Checkpoints written while the CLI still had ``--queue-depth``
+        carry a ``queue_depth`` key; ``resume`` ignores it."""
+        from repro.cli import main
+        from repro.minisql.wal import read_snapshot, write_snapshot
+
+        journal = str(tmp_path / "old.journal")
+        code = main([
+            "chaos", "--sites", "3", "--days", "2", "--fault-rate", "0.15",
+            "--seed", "7", "--journal", journal, "--checkpoint-every", "4",
+            "--batch-size", "8", "--kill", "post-deliver:2",
+        ])
+        assert code == 42
+        snapshot = read_snapshot(journal)
+        config = snapshot["state"]["metadata"]["cli"]
+        assert "queue_depth" not in config
+        config["queue_depth"] = 16
+        write_snapshot(journal, snapshot)
+        capsys.readouterr()
 
         assert main(["resume", "--journal", journal]) == 0
         out = capsys.readouterr().out
