@@ -61,9 +61,6 @@ class TestPrecedence:
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(PipelineError):
             SubscriptionSystem(clock=SimulatedClock(0.0), batch_size=0)
-        system = build_system()
-        with pytest.raises(PipelineError):
-            system.run_stream(from_pairs(xml_pages(2)), batch_size=0)
 
 
 class TestRunStreamLoop:
@@ -85,6 +82,11 @@ class TestRunStreamLoop:
         ]
         gauge = system.metrics_snapshot()["gauges"]["executor.queue_depth"]
         assert gauge == 0  # drained at the end
+
+    def test_run_stream_validates_batch_size(self):
+        system = build_system()
+        with pytest.raises(PipelineError):
+            system.run_stream(from_pairs(xml_pages(2)), batch_size=0)
 
     def test_per_call_batch_size_overrides_the_system(self):
         system = build_system(batch_size=4)
