@@ -29,7 +29,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..core.events import AtomicEventKey
 from ..xmlstore.nodes import ElementNode, TextNode
 from ..xmlstore.serializer import serialize
-from ..xmlstore.words import iter_words
+from ..xmlstore.words import text_words
 from .base import Alerter, Detection, reject_unknown
 from .context import FetchedDocument
 
@@ -166,7 +166,7 @@ class XMLAlerter(Alerter):
         direct_words: Set[str] = set()
         for child in element.children:
             if isinstance(child, TextNode):
-                for word in iter_words(child.data):
+                for word in text_words(child):
                     if word in interesting:
                         direct_words.add(word)
             else:
@@ -260,7 +260,7 @@ def _direct_words(element: ElementNode) -> Set[str]:
     words: Set[str] = set()
     for child in element.children:
         if isinstance(child, TextNode):
-            words |= set(iter_words(child.data))
+            words |= text_words(child)
     return words
 
 
@@ -273,5 +273,5 @@ def _subtree_words(element: ElementNode) -> Set[str]:
     words: Set[str] = set()
     for node in element.preorder():
         if isinstance(node, TextNode):
-            words |= set(iter_words(node.data))
+            words |= text_words(node)
     return words

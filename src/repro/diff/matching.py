@@ -10,6 +10,13 @@ elements as new / updated / deleted (Section 6.3).
 If the root tags differ the documents are considered unrelated and
 :class:`~repro.errors.DiffError` is raised; callers (the repository) restart
 the version lineage in that case.
+
+Matching also carries the old version's per-text-node word cache
+(``TextNode.words``, see ``repro.xmlstore.words.text_words``) onto every
+unchanged text node of the new version, so only inserted and updated text is
+tokenised again.  Both caches it reads, words and subtree signatures, assume
+the trees are not mutated once cached: callers edit a ``copy_document``
+copy.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ def compute_delta(
 
     Side effects: every node of ``new_document`` receives an XID — matched
     nodes inherit the old node's XID, inserted nodes get fresh XIDs from
-    ``xid_space``.  Both documents keep their subtree signatures
+    ``xid_space`` — and its unchanged text nodes inherit the old nodes'
+    cached words.  Both documents keep their subtree signatures
     (``document_signatures``), so a version already signed is not signed
     again.  ``old_document``'s tree is not modified.
     """
@@ -126,6 +134,8 @@ def _align_children(
                             new_text=new_child.data,
                         )
                     )
+                else:
+                    new_child.words = old_child.words
             else:
                 assert isinstance(old_child, ElementNode)
                 assert isinstance(new_child, ElementNode)
@@ -189,11 +199,12 @@ def _pair_gap(
 
 
 def _propagate_xids(old: Node, new: Node) -> None:
-    """Copy XIDs across two structurally identical subtrees."""
-    old_walk = old.preorder()
-    new_walk = new.preorder()
-    for old_node, new_node in zip(old_walk, new_walk):
+    """Copy XIDs, and the words of text nodes, across two structurally
+    identical subtrees."""
+    for old_node, new_node in zip(old.preorder(), new.preorder()):
         new_node.xid = old_node.xid
+        if type(new_node) is TextNode:
+            new_node.words = old_node.words  # type: ignore[attr-defined]
 
 
 def _lcs_pairs(left: Sequence, right: Sequence) -> List[Tuple[int, int]]:

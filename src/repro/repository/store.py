@@ -17,6 +17,22 @@ unchanged and is neither parsed nor signed.  Otherwise it is parsed, and
 the subtree signatures computed for its whole-document signature stay on
 the :class:`Document`, where ``compute_delta`` reuses them now and again
 when the next version arrives.
+
+Each text node is tokenised once.  Its distinct words stay on the node
+(``TextNode.words``); the diff copies them onto the unchanged text of the
+next version, and the XML alerter reads them there.  The word index is
+maintained from the deltas: an updated version is indexed by handing
+``WarehouseIndexes.index_document`` the delta, so only inserted, deleted
+and updated nodes are counted, while a new document, a lineage restart or a
+restore indexes the whole tree.  A stored tree carries both caches and is
+therefore never mutated: readers get ``copy_document`` copies
+(:meth:`Repository.document`, :meth:`Repository.version`), which start
+with both caches empty.
+
+The DOCTYPE is not part of the signed tree.  Every fetch records the
+fetched version's DOCTYPE on the stored document, its metadata
+(``dtd_url``, ``dtd_id``) and the DTD index, even when the tree is
+unchanged and the status says so.
 """
 
 from __future__ import annotations
@@ -165,17 +181,17 @@ class Repository:
         stored.meta.last_accessed = now
         new_signature = document_signature(document)
         if new_signature == stored.meta.signature:
-            return self._unchanged(stored, now)
+            return self._same_tree(stored, document, now)
         try:
             delta = compute_delta(stored.current, document, stored.xid_space)
         except DiffError:
             # Root element changed: restart the lineage (same doc id).
             return self._restart_lineage(stored, document, now, new_signature)
         if not delta:
-            # Content hash differs only through aspects the diff ignores
-            # (e.g. DOCTYPE changes); treat as unchanged at element level.
+            # Content hash differs only through aspects the diff ignores;
+            # treat as unchanged at element level.
             stored.meta.signature = new_signature
-            return self._unchanged(stored, now)
+            return self._same_tree(stored, document, now)
         old_document = stored.current
         stored.history.insert(0, (stored.meta.version, delta.inverted()))
         del stored.history[self.keep_versions - 1 :]
@@ -183,7 +199,8 @@ class Repository:
         stored.meta.version += 1
         stored.meta.last_updated = now
         stored.meta.signature = new_signature
-        self._reindex(stored)
+        self._record_dtd(stored.meta, document)
+        self._reindex(stored, delta)
         return FetchOutcome(
             meta=stored.meta,
             status=DOC_UPDATED,
@@ -191,6 +208,23 @@ class Repository:
             old_document=old_document,
             delta=delta,
         )
+
+    def _same_tree(
+        self, stored: _StoredDocument, document: Document, now: float
+    ) -> FetchOutcome:
+        """``document`` has the stored tree; only its DOCTYPE may differ,
+        which is recorded without a new version."""
+        current = stored.current
+        assert current is not None
+        if (current.doctype_name, current.dtd_url) != (
+            document.doctype_name,
+            document.dtd_url,
+        ):
+            current.doctype_name = document.doctype_name
+            current.dtd_url = document.dtd_url
+            self._record_dtd(stored.meta, current)
+            self._reindex(stored, Delta())
+        return self._unchanged(stored, now)
 
     @staticmethod
     def _unchanged(stored: _StoredDocument, now: float) -> FetchOutcome:
@@ -210,16 +244,12 @@ class Repository:
             doc_id=doc_id,
             url=url,
             kind=XML,
-            dtd_url=document.dtd_url,
             last_accessed=now,
             last_updated=now,
             signature=document_signature(document),
             version=1,
         )
-        if document.dtd_url is not None:
-            meta.dtd_id = self.classifier.dtd_registry.register(
-                document.dtd_url
-            )
+        self._record_dtd(meta, document)
         meta.domain = self.classifier.classify(document)
         stored = _StoredDocument(
             meta=meta, current=document, xid_space=xid_space
@@ -245,11 +275,7 @@ class Repository:
         stored.meta.version += 1
         stored.meta.last_updated = now
         stored.meta.signature = signature
-        stored.meta.dtd_url = document.dtd_url
-        if document.dtd_url is not None:
-            stored.meta.dtd_id = self.classifier.dtd_registry.register(
-                document.dtd_url
-            )
+        self._record_dtd(stored.meta, document)
         stored.meta.domain = self.classifier.classify(document)
         self._reindex(stored)
         # No delta is available across a lineage restart; report the update
@@ -304,10 +330,26 @@ class Repository:
         stored.meta.last_updated = now
         return FetchOutcome(meta=stored.meta, status=DOC_UPDATED)
 
-    def _reindex(self, stored: _StoredDocument) -> None:
+    def _record_dtd(self, meta: DocumentMeta, document: Document) -> None:
+        """Point ``meta``'s DTD fields at ``document``'s DOCTYPE."""
+        meta.dtd_url = document.dtd_url
+        meta.dtd_id = (
+            None
+            if document.dtd_url is None
+            else self.classifier.dtd_registry.register(document.dtd_url)
+        )
+
+    def _reindex(
+        self, stored: _StoredDocument, delta: Optional[Delta] = None
+    ) -> None:
+        """Index ``stored.current``: from ``delta`` (the diff from the
+        version indexed so far) when given, else the whole tree."""
         assert stored.current is not None
         self.indexes.index_document(
-            stored.meta.doc_id, stored.current, domain=stored.meta.domain
+            stored.meta.doc_id,
+            stored.current,
+            domain=stored.meta.domain,
+            delta=delta,
         )
 
     # -- reading ------------------------------------------------------------

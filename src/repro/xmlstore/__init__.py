@@ -23,6 +23,7 @@ from .words import (
     extract_words,
     iter_words,
     normalize_word,
+    text_words,
     unique_words,
 )
 
@@ -40,5 +41,6 @@ __all__ = [
     "extract_words",
     "iter_words",
     "normalize_word",
+    "text_words",
     "unique_words",
 ]

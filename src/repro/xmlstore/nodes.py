@@ -16,7 +16,7 @@ Nodes also carry an optional ``xid`` (Xyleme persistent identifier, see
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 
 class Node:
@@ -184,13 +184,19 @@ class ElementNode(Node):
 
 
 class TextNode(Node):
-    """Character data."""
+    """Character data.
 
-    __slots__ = ("data",)
+    ``words`` caches the node's distinct words, filled on first use by
+    ``repro.xmlstore.words.text_words``; like a document's ``signatures``
+    it assumes ``data`` never changes once set.
+    """
+
+    __slots__ = ("data", "words")
 
     def __init__(self, data: str):
         super().__init__()
         self.data = data
+        self.words: Optional[FrozenSet[str]] = None
 
     def __repr__(self) -> str:
         preview = self.data if len(self.data) <= 30 else self.data[:27] + "..."
@@ -205,10 +211,12 @@ class Document:
     language (``DTD = string``, ``DTDID = integer``) key on it.
 
     ``signatures`` caches the ``id(node) -> signature`` map of the tree,
-    filled on first use by ``repro.diff.signature.document_signatures``.
-    A signed tree must therefore not be mutated (XIDs aside, which the
-    signatures do not cover): callers that edit a document edit a
-    ``copy_document`` copy, which starts unsigned.
+    filled on first use by ``repro.diff.signature.document_signatures``;
+    its text nodes cache their words the same way (``TextNode.words``).
+    A tree carrying cached signatures or words must therefore not be
+    mutated (XIDs and the DOCTYPE aside, which neither cache covers):
+    callers that edit a document edit a ``copy_document`` copy, which
+    starts with both caches empty.
     """
 
     __slots__ = ("root", "doctype_name", "dtd_url", "signatures")

@@ -4,12 +4,21 @@ The ``contains`` atomic condition of the subscription language matches a
 *word* inside element text (Section 5.1 and 6.3).  Everything that needs to
 agree on what a "word" is (the alerter's WordTable, the repository's word
 index, the stop-word cost control of Section 5.4) goes through this module.
+
+Each text node is tokenised once: :func:`text_words` keeps the node's
+distinct words on ``TextNode.words``, the diff copies them onto the
+unchanged text of the next version, and the warehouse index and the XML
+alerter both read them from there.  A tree whose text nodes carry cached
+words must therefore not be mutated; callers that edit a document edit a
+``copy_document`` copy, whose text nodes start with ``words`` unset.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import FrozenSet, Iterator, List
+
+from .nodes import TextNode
 
 #: Words the cost controller refuses in ``contains`` conditions (Section 5.4:
 #: "prevent the use of contains conditions on too common a word such as
@@ -34,9 +43,9 @@ _WORD_RE = re.compile(r"[^\W_]+(?:['\-]+[^\W_]+)*", re.UNICODE)
 
 
 def iter_words(text: str) -> Iterator[str]:
-    """Yield normalized words from ``text``."""
-    for match in _WORD_RE.finditer(text):
-        yield normalize_word(match.group())
+    """Normalized words of ``text``, in order (``str.casefold`` is
+    :func:`normalize_word`, applied without a Python-level call)."""
+    return map(str.casefold, _WORD_RE.findall(text))
 
 
 def extract_words(text: str) -> List[str]:
@@ -46,4 +55,13 @@ def extract_words(text: str) -> List[str]:
 
 def unique_words(text: str) -> set:
     """Set of distinct normalized words in ``text``."""
-    return {w for w in iter_words(text) if w}
+    return set(iter_words(text))
+
+
+def text_words(node: TextNode) -> FrozenSet[str]:
+    """``unique_words(node.data)``, computed on first use and kept on
+    ``node.words`` for later calls."""
+    words = node.words
+    if words is None:
+        words = node.words = frozenset(iter_words(node.data))
+    return words

@@ -5,7 +5,7 @@ from repro.alerters.context import FetchedDocument
 from repro.core import AtomicEventKey
 from repro.diff.changes import DOC_NEW, DOC_UNCHANGED, DOC_UPDATED
 from repro.errors import MonitoringError
-from repro.repository import DocumentMeta
+from repro.repository import DocumentMeta, Repository
 
 
 def fetched(url="http://x/a.xml", status=DOC_NEW, **meta_kwargs):
@@ -48,6 +48,29 @@ class TestMetadataConditions:
         alerter.register(5, key("dtdid_eq", 9))
         document = fetched(dtd_url="http://d/c.dtd", dtd_id=9)
         assert alerter.detect(document)[0] == {4, 5}
+
+    def test_dtd_conditions_follow_the_stored_doctype(self, alerter):
+        """The DTD of an updated version reaches ``DTD =`` / ``DTDID =``."""
+        repository = Repository()
+        url = "http://x/c.xml"
+        repository.store_xml(
+            url, '<!DOCTYPE c SYSTEM "http://a/a.dtd"><c><p>camera</p></c>'
+        )
+        outcome = repository.store_xml(
+            url, '<!DOCTYPE c SYSTEM "http://b/b.dtd"><c><p>lens</p></c>'
+        )
+        b_id = repository.classifier.dtd_registry.id_for("http://b/b.dtd")
+        alerter.register(1, key("dtd_eq", "http://a/a.dtd"))
+        alerter.register(2, key("dtd_eq", "http://b/b.dtd"))
+        alerter.register(3, key("dtdid_eq", b_id))
+        document = FetchedDocument(
+            url=url,
+            meta=outcome.meta,
+            status=outcome.status,
+            document=outcome.document,
+        )
+        assert outcome.status == DOC_UPDATED
+        assert alerter.detect(document)[0] == {2, 3}
 
     def test_docid(self, alerter):
         alerter.register(6, key("docid_eq", 42))

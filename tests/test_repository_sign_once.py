@@ -1,14 +1,23 @@
 """Sign-once oracle (hypothesis): the repository's cached signatures and
-its raw-text fast path change nothing a caller can observe.
+words, its raw-text fast path and its delta-driven index change nothing a
+caller can observe.
 
 Random version sequences of one URL (ChangeModel edits, byte-identical
 refetches, whitespace-only reformattings that parse to the same tree,
 root-tag changes that restart the lineage, reverts to the first version's
-text, and ``Document`` refetches)
-go through ``Repository.store_xml``.  After every fetch the outcome is
-compared with a reference that keeps each version only as text plus its
-XIDs, re-parses both versions and signs them from scratch with
-``subtree_signatures``.
+text, ``Document`` refetches, DOCTYPE-only changes and fetches of the same
+URL as HTML) go through the repository, next to a second, fixed catalog.
+After every fetch:
+
+* the outcome is compared with a reference that keeps each version only
+  as text plus its XIDs, re-parses both versions and signs them from
+  scratch with ``subtree_signatures``;
+* the index equals one rebuilt from ``Repository.document()`` of every
+  stored document (``index_oracle``);
+* every text node of the current and the retained versions has ``words``
+  unset or equal to ``unique_words`` of its text;
+* after an XML fetch, the metadata, the stored document and the DTD index
+  carry that fetch's DOCTYPE.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from repro.diff import (
     XidSpace,
     compute_delta,
     copy_document,
+    page_signature,
     subtree_signatures,
 )
 from repro.errors import DiffError
@@ -32,7 +42,12 @@ from repro.repository import Repository
 from repro.webworld import ChangeModel, SiteGenerator
 from repro.xmlstore import parse, serialize
 
+from .index_oracle import assert_index_matches_rebuild, assert_words_cache_sound
+
 URL = "http://www.shop.example/catalog.xml"
+OTHER_URL = "http://www.other.example/catalog.xml"
+#: DTDs the ``doctype`` step cycles through (None drops the DOCTYPE).
+DTD_CYCLE = ["http://dtd.example/a.dtd", None, "http://dtd.example/b.dtd"]
 
 
 class _ReferenceStore:
@@ -88,6 +103,15 @@ class _ReferenceStore:
                 self._keep(text, document)
         return status, delta_xml, list(self.xids), self.signature, self.version
 
+    def store_html(self, html: str) -> str:
+        """An HTML fetch of the URL: only the page signature is kept."""
+        signature = page_signature(html)
+        if signature == self.signature:
+            return DOC_UNCHANGED
+        self.signature = signature
+        self.version += 1
+        return DOC_UPDATED
+
 
 def _reformat(text: str) -> str:
     """Same tree, different bytes: whitespace-only text between tags."""
@@ -107,6 +131,8 @@ def _reformat(text: str) -> str:
                 "retag",
                 "revert",
                 "document",
+                "doctype",
+                "html",
             ]
         ),
         min_size=1,
@@ -120,10 +146,22 @@ def test_store_matches_a_reference_that_signs_every_version_afresh(
     repository = Repository(clock=clock)
     reference = _ReferenceStore()
     change_model = ChangeModel(seed=seed)
+    repository.store_xml(
+        OTHER_URL, serialize(SiteGenerator(seed=seed + 1).catalog(products=3))
+    )
     page = SiteGenerator(seed=seed).catalog(products=3)
     first_page = page
     text = serialize(page)
+    doctypes = 0
     for step in ["refetch"] + steps:
+        clock.advance(60)
+        if step == "html":
+            html = f"<html><body>{len(steps)} {seed}</body></html>"
+            outcome = repository.store_html(URL, html)
+            assert outcome.status == reference.store_html(html)
+            assert outcome.meta.version == reference.version
+            assert_index_matches_rebuild(repository)
+            continue
         if step == "mutate":
             page = change_model.mutate(page)
             text = serialize(page)
@@ -136,8 +174,12 @@ def test_store_matches_a_reference_that_signs_every_version_afresh(
             page = copy_document(page)
             page.root.tag = "shop" if page.root.tag != "shop" else "catalog"
             text = serialize(page)
+        elif step == "doctype":
+            page = copy_document(page)
+            page.dtd_url = DTD_CYCLE[doctypes % len(DTD_CYCLE)]
+            doctypes += 1
+            text = serialize(page)
         content = parse(text) if step == "document" else text
-        clock.advance(60)
         outcome = repository.store_xml(URL, content)
         status, delta_xml, xids, signature, version = reference.store(text)
         assert outcome.status == status, step
@@ -148,3 +190,19 @@ def test_store_matches_a_reference_that_signs_every_version_afresh(
         assert outcome.meta.signature == signature
         assert outcome.meta.version == version
         assert outcome.meta.last_accessed == clock.now()
+
+        doc_id = outcome.meta.doc_id
+        dtd_url = parse(text).dtd_url
+        dtd_registry = repository.classifier.dtd_registry
+        assert outcome.meta.dtd_url == dtd_url
+        assert outcome.meta.dtd_id == (
+            None if dtd_url is None else dtd_registry.id_for(dtd_url)
+        )
+        assert repository.document(doc_id).dtd_url == dtd_url
+        if dtd_url is not None:
+            assert doc_id in repository.indexes.documents_with_dtd(dtd_url)
+
+        assert_index_matches_rebuild(repository)
+        assert_words_cache_sound(outcome.document)
+        for retained in repository.retained_versions(doc_id):
+            assert_words_cache_sound(repository.version(doc_id, retained))

@@ -223,6 +223,22 @@ class TestVersions:
         assert repository.version(doc_id, 2).signatures is None
         assert repository.version(doc_id, 1).signatures is None
 
+    def test_read_versions_carry_no_cached_words(self, repository):
+        repository.store_xml("http://x/a.xml", "<r><a>one</a></r>")
+        outcome = repository.store_xml(
+            "http://x/a.xml", "<r><a>one</a><b>two</b></r>"
+        )
+        texts = [outcome.document.root.children[i].children[0] for i in (0, 1)]
+        assert [text.words for text in texts] == [{"one"}, {"two"}]
+        doc_id = outcome.meta.doc_id
+        for document in (
+            repository.document(doc_id),
+            repository.version(doc_id, 2),
+            repository.version(doc_id, 1),
+        ):
+            for node in document.preorder():
+                assert getattr(node, "words", None) is None
+
     def test_current_version_is_a_copy(self, repository):
         repository.store_xml("http://x/a.xml", "<r><a>1</a></r>")
         doc_id = repository.meta_for_url("http://x/a.xml").doc_id
@@ -262,3 +278,73 @@ class TestLookupsAndRemoval:
         repository.store_xml("http://x/a.xml", "<r/>")
         repository.add_importance("http://x/a.xml", 2.5)
         assert repository.meta_for_url("http://x/a.xml").importance == 3.5
+
+
+A_DTD = "http://a/a.dtd"
+B_DTD = "http://b/b.dtd"
+Z_DTD = "http://z/z.dtd"
+
+
+def with_doctype(dtd_url, body):
+    if dtd_url is None:
+        return body
+    return f'<!DOCTYPE c SYSTEM "{dtd_url}">{body}'
+
+
+class TestDoctypeFollowsTheLastFetch:
+    URL = "http://x/c.xml"
+
+    def assert_dtd(self, repository, doc_id, dtd_url):
+        meta = repository.meta(doc_id)
+        registry = repository.classifier.dtd_registry
+        assert meta.dtd_url == dtd_url
+        assert meta.dtd_id == (
+            None if dtd_url is None else registry.id_for(dtd_url)
+        )
+        assert repository.document(doc_id).dtd_url == dtd_url
+        for other in (A_DTD, B_DTD, Z_DTD):
+            expected = {doc_id} if other == dtd_url else set()
+            assert repository.indexes.documents_with_dtd(other) == expected
+
+    def test_updated_version_with_a_new_doctype(self, repository):
+        first_dtd_id = repository.store_xml(
+            self.URL, with_doctype(A_DTD, "<c><p>camera</p></c>")
+        ).meta.dtd_id
+        second = repository.store_xml(
+            self.URL, with_doctype(B_DTD, "<c><p>lens</p></c>")
+        )
+        assert second.status == DOC_UPDATED
+        assert second.meta.dtd_id != first_dtd_id
+        self.assert_dtd(repository, second.meta.doc_id, B_DTD)
+
+    def test_doctype_only_change_is_unchanged_but_recorded(self, repository):
+        repository.store_xml(
+            self.URL, with_doctype(A_DTD, "<c><p>camera</p></c>")
+        )
+        repository.store_xml(
+            self.URL, with_doctype(B_DTD, "<c><p>lens</p></c>")
+        )
+        outcome = repository.store_xml(
+            self.URL, with_doctype(Z_DTD, "<c><p>lens</p></c>")
+        )
+        assert outcome.status == DOC_UNCHANGED
+        assert outcome.meta.version == 2
+        self.assert_dtd(repository, outcome.meta.doc_id, Z_DTD)
+
+    def test_dropping_the_doctype_clears_the_dtd(self, repository):
+        repository.store_xml(
+            self.URL, with_doctype(A_DTD, "<c><p>camera</p></c>")
+        )
+        outcome = repository.store_xml(self.URL, "<c><p>camera</p></c>")
+        assert outcome.status == DOC_UNCHANGED
+        self.assert_dtd(repository, outcome.meta.doc_id, None)
+
+    def test_lineage_restart_without_doctype_clears_the_dtd(
+        self, repository
+    ):
+        repository.store_xml(
+            self.URL, with_doctype(A_DTD, "<c><p>camera</p></c>")
+        )
+        outcome = repository.store_xml(self.URL, "<d><p>camera</p></d>")
+        assert outcome.status == DOC_UPDATED and outcome.delta is None
+        self.assert_dtd(repository, outcome.meta.doc_id, None)

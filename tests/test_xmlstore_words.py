@@ -1,9 +1,16 @@
+from repro.diff import XidSpace, apply_delta, compute_delta, copy_document
+from repro.xmlstore import TextNode, parse
 from repro.xmlstore.words import (
     DEFAULT_STOP_WORDS,
     extract_words,
     normalize_word,
+    text_words,
     unique_words,
 )
+
+
+def text_nodes(document):
+    return [node for node in document.preorder() if isinstance(node, TextNode)]
 
 
 class TestNormalization:
@@ -57,3 +64,39 @@ class TestStopWords:
 
     def test_content_words_are_not(self):
         assert "camera" not in DEFAULT_STOP_WORDS
+
+
+class TestWordCache:
+    def test_text_words_fills_the_cache_once(self):
+        node = TextNode("Camera camera lens")
+        assert node.words is None
+        words = text_words(node)
+        assert words == unique_words(node.data) == {"camera", "lens"}
+        assert node.words is words
+        assert text_words(node) is words
+
+    def test_new_trees_start_with_words_unset(self):
+        old = parse("<r><a>one</a><b>two</b></r>")
+        XidSpace().assign_fresh(old.root)
+        for node in text_nodes(old):
+            text_words(node)
+        new = parse("<r><a>one</a><b>three</b></r>")
+        delta = compute_delta(old, new, XidSpace(first_xid=100))
+        for document in (
+            parse("<r>x</r>"),
+            copy_document(old),
+            apply_delta(old, delta),
+        ):
+            assert all(node.words is None for node in text_nodes(document))
+
+    def test_diff_carries_words_onto_unchanged_text_only(self):
+        old = parse("<r><a>one</a><b>two</b><c>x</c></r>")
+        XidSpace().assign_fresh(old.root)
+        for node in text_nodes(old):
+            text_words(node)
+        new = parse("<r><a>one</a><b>three</b><d>y</d></r>")
+        compute_delta(old, new, XidSpace(first_xid=100))
+        kept, updated, inserted = text_nodes(new)
+        assert kept.words is text_nodes(old)[0].words
+        assert updated.words is None
+        assert inserted.words is None
