@@ -17,12 +17,12 @@ gauge and the ``dlq.quarantined{source=...}`` counter.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Deque, Dict, Iterator, List, Optional
 
 from ..errors import PipelineError
+from ..minisql.wal import write_json_atomic
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
 from ..observability.names import COUNTER_DLQ_QUARANTINED, GAUGE_DLQ_DEPTH
 from ..pipeline.stream import Fetch, XML_PAGE
@@ -122,29 +122,35 @@ class DeadLetterQueue:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, path: str) -> None:
-        """Write the queue as a JSON document (CLI interchange format).
-
-        Atomic: the JSON is written to a sibling temp file, fsynced and
-        ``os.replace``d over ``path``, so a crash mid-save leaves either
-        the old file or the new one — never a truncated hybrid.
-        """
-        payload = {
+    def state_dict(self) -> Dict:
+        """JSON-serializable state; also the CLI interchange format."""
+        return {
             "capacity": self.capacity,
             "dropped": self.dropped,
+            "total_quarantined": self.total_quarantined,
             "entries": [entry.to_dict() for entry in self._entries],
         }
-        temp_path = path + ".tmp"
-        try:
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        finally:
-            if os.path.exists(temp_path):
-                os.remove(temp_path)
+
+    def restore_state(self, state: Dict) -> None:
+        """Replace the queue's contents with ``state``'s.
+
+        The capacity stays this queue's own; entries past it are evicted
+        oldest first and counted in :attr:`dropped`, as :meth:`push`
+        does.
+        """
+        self._entries = deque(
+            DeadLetterEntry.from_dict(record) for record in state["entries"]
+        )
+        self.dropped = int(state["dropped"])
+        self.total_quarantined = int(state["total_quarantined"])
+        while len(self._entries) > self.capacity:
+            self._entries.popleft()
+            self.dropped += 1
+        self._depth_gauge.set(len(self._entries))
+
+    def save(self, path: str) -> None:
+        """Write :meth:`state_dict` to ``path`` as JSON, atomically."""
+        write_json_atomic(path, self.state_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def load(
@@ -152,14 +158,9 @@ class DeadLetterQueue:
         path: str,
         metrics: Optional[MetricsRegistry] = None,
     ) -> "DeadLetterQueue":
+        """A queue of the saved capacity holding the saved state."""
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        queue = cls(
-            capacity=int(payload.get("capacity", 1024)), metrics=metrics
-        )
-        for record in payload.get("entries", []):
-            queue._entries.append(DeadLetterEntry.from_dict(record))
-        queue.dropped = int(payload.get("dropped", 0))
-        queue.total_quarantined = len(queue._entries)
-        queue._depth_gauge.set(len(queue._entries))
+            state = json.load(handle)
+        queue = cls(capacity=int(state["capacity"]), metrics=metrics)
+        queue.restore_state(state)
         return queue

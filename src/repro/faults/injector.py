@@ -33,6 +33,7 @@ from ..errors import (
 )
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
 from ..observability.names import COUNTER_FAULTS_INJECTED
+from ..rng import rng_state, set_rng_state
 
 #: Canonical fault classes, in the (fixed) order the injector's single
 #: uniform draw is mapped over — reordering would change seeded runs.
@@ -187,6 +188,19 @@ class FaultInjector:
                 ).inc()
                 return _build_fault(kind, url, content)
         return None
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable state (crash-recovery checkpoints)."""
+        return {
+            "rng": rng_state(self.rng),
+            "rolls": self.rolls,
+            "injected": dict(self.injected),
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        set_rng_state(self.rng, state["rng"])
+        self.rolls = int(state["rolls"])
+        self.injected = dict(state["injected"])
 
     def wrap(
         self,

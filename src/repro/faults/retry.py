@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..errors import PipelineError
 
@@ -77,6 +77,17 @@ class RetryPolicy:
         return delay
 
 
+#: A breaker's checkpointed fields: its configuration and its state.
+_BREAKER_FIELDS = (
+    "failure_threshold",
+    "reset_timeout",
+    "state",
+    "consecutive_failures",
+    "opened_at",
+    "state_changes",
+)
+
+
 class CircuitBreaker:
     """Closed → open → half-open failure isolation for one URL.
 
@@ -105,6 +116,16 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
         self.state_changes = 0
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable state (crash-recovery checkpoints)."""
+        return {name: getattr(self, name) for name in _BREAKER_FIELDS}
+
+    def restore_state(self, state: Dict) -> None:
+        """Set the fields directly, not through a transition, so a
+        restore never fires ``on_state_change``."""
+        for name in _BREAKER_FIELDS:
+            setattr(self, name, state[name])
 
     def _transition(self, new_state: str) -> None:
         if new_state == self.state:

@@ -99,15 +99,28 @@ def snapshot_path(wal_path: str) -> str:
     return wal_path + ".snapshot"
 
 
+def write_json_atomic(path: str, payload: Any, **dump_options: Any) -> None:
+    """Write ``payload`` as JSON to ``path`` atomically.
+
+    The JSON goes to a sibling temp file, is fsynced and ``os.replace``d
+    over ``path``, so a crash mid-write leaves either the old file or the
+    new one — never a truncated hybrid, never a stray temp file.
+    """
+    temp = path + ".tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, **dump_options)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
+
+
 def write_snapshot(wal_path: str, state: Dict[str, Any]) -> None:
     """Atomically write the snapshot next to the WAL."""
-    target = snapshot_path(wal_path)
-    temp = target + ".tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(state, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, target)
+    write_json_atomic(snapshot_path(wal_path), state)
 
 
 def read_snapshot(wal_path: str) -> Optional[Dict[str, Any]]:

@@ -12,8 +12,10 @@ Three pieces:
 * :class:`RuntimeJournal` — a JSON-lines WAL (reusing
   :mod:`repro.minisql.wal`) of delivered-notification ids, periodically
   compacted into a full runtime snapshot (checkpoint + truncate);
-* :mod:`repro.recovery.state` — capture/restore of the live runtime
-  (reporter buffers, repository, crawler cursor, breakers, DLQ, RNGs);
+* :mod:`repro.recovery.state` — capture/restore of the live runtime,
+  composed from each component's ``state_dict()`` /
+  ``restore_state(dict)`` pair (reporter buffers, repository, crawler
+  cursor, breakers, DLQ, RNGs);
 * :class:`RecoveryManager` — the coordinator wired into a
   :class:`~repro.pipeline.system.SubscriptionSystem`: journals every
   delivery, checkpoints every ``checkpoint_every`` batches (at any

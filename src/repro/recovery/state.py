@@ -1,27 +1,28 @@
 """Capture and restore of the live pipeline runtime.
 
-``capture_runtime`` walks a :class:`~repro.pipeline.system.SubscriptionSystem`
-(and optionally the crawler feeding it) and returns one JSON-serializable
-dict; ``restore_runtime`` replays that dict into a *freshly built* system
-whose subscriptions were already recovered
-(``Database.recover`` + ``SubscriptionManager.recover()`` — definitions
-come from the MiniSQL WAL, runtime state from here).
+``capture_runtime`` composes one JSON-serializable dict from a
+:class:`~repro.pipeline.system.SubscriptionSystem` (and optionally the
+crawler and change-rate estimator feeding it); ``restore_runtime``
+replays that dict into a *freshly built* system whose subscriptions were
+already recovered (``Database.recover`` + ``SubscriptionManager.recover()``
+— definitions come from the MiniSQL WAL, runtime state from here).
 
-What is checkpointed:
+Each component defines its own section through a ``state_dict()`` /
+``restore_state(dict)`` pair next to the state it owns:
 
-* the simulated clock;
-* the Reporter's per-subscription buffers (pending notification elements,
-  suppression/rate-limit state, ``when``-condition counters);
-* the repository's current document versions (inline, using the same
-  encoding as :mod:`repro.repository.persistence` — required so a resumed
-  re-feed diffs as ``DOC_UPDATED`` against the same XIDs rather than
-  registering every page as ``DOC_NEW``);
-* the crawler cursor: page table + contents, the due-time heap, retry
-  states, per-URL circuit breakers, counters, and every RNG involved in
-  content evolution (crawler, change model, insertion generator, fault
-  injector) so the resumed run regenerates byte-identical fetches;
-* the change-rate estimator's fetch histories (when one is wired);
-* the dead-letter queue.
+* ``Reporter`` — per-subscription buffers (pending notification
+  elements, suppression/rate-limit state, ``when``-condition counters);
+* ``Repository`` — current document versions with their XIDs (so a
+  resumed re-feed diffs as ``DOC_UPDATED`` against the same XIDs rather
+  than registering every page as ``DOC_NEW``), the doc-id counter and
+  the DTD id table;
+* ``SimulatedCrawler`` — the crawl cursor and every RNG involved in
+  content evolution, delegating to its ``ChangeModel``,
+  ``FaultInjector`` and ``CircuitBreaker``\\ s;
+* ``DeadLetterQueue`` and ``ChangeRateEstimator``.
+
+This module adds only the version check, the simulated clock and the
+system's two document counters.
 
 What is *not* checkpointed (documented scope limits): the trigger
 engine's answer store, the email sink's backlog, the report archive and
@@ -31,37 +32,13 @@ journal is the exactly-once channel.
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from ..diff.xids import XidSpace, max_xid
 from ..errors import RecoveryError
-from ..faults.dlq import DeadLetterEntry, DeadLetterQueue
-from ..faults.retry import CircuitBreaker
-from ..repository.metadata import XML, DocumentMeta
-from ..repository.store import _StoredDocument
-from ..webworld.crawler import CrawledPage, _RetryState
-from ..xmlstore.parser import parse
-from ..xmlstore.serializer import serialize
+from ..faults.dlq import DeadLetterQueue
 
 #: Bumped on any incompatible change to the state layout.
-STATE_VERSION = 1
-
-
-# -- RNG state ---------------------------------------------------------------
-
-
-def _encode_rng(rng: random.Random) -> List:
-    version, internal, gauss_next = rng.getstate()
-    return [version, list(internal), gauss_next]
-
-
-def _decode_rng(rng: random.Random, payload: List) -> None:
-    version, internal, gauss_next = payload
-    rng.setstate((version, tuple(internal), gauss_next))
-
-
-# -- capture -----------------------------------------------------------------
+STATE_VERSION = 2
 
 
 def capture_runtime(
@@ -75,155 +52,16 @@ def capture_runtime(
         "clock": system.clock.now(),
         "documents_fed": system.documents_fed,
         "documents_rejected": system.documents_rejected,
-        "reporter": _capture_reporter(system.reporter),
-        "repository": _capture_repository(system.repository),
+        "reporter": system.reporter.state_dict(),
+        "repository": system.repository.state_dict(),
     }
     if system.dead_letters is not None:
-        state["dead_letters"] = _capture_dlq(system.dead_letters)
+        state["dead_letters"] = system.dead_letters.state_dict()
     if crawler is not None:
-        state["crawler"] = _capture_crawler(crawler)
+        state["crawler"] = crawler.state_dict()
     if estimator is not None:
         state["estimator"] = estimator.state_dict()
     return state
-
-
-def _capture_reporter(reporter: Any) -> Dict[str, Any]:
-    buffers: Dict[str, Any] = {}
-    for subscription_id, buffer in reporter._buffers.items():
-        buffers[str(subscription_id)] = {
-            "notifications": [
-                serialize(element) for element in buffer.notifications
-            ],
-            "suppressed": buffer.suppressed,
-            "last_delivery_at": buffer.last_delivery_at,
-            "pending_rate_limited": buffer.pending_rate_limited,
-            "state": {
-                "total_count": buffer.state.total_count,
-                "counts_by_query": dict(buffer.state.counts_by_query),
-                "last_report_at": buffer.state.last_report_at,
-                "last_arrival_at": buffer.state.last_arrival_at,
-            },
-        }
-    return {"buffers": buffers}
-
-
-def _capture_repository(repository: Any) -> Dict[str, Any]:
-    documents = []
-    for stored in repository._docs.values():
-        meta = stored.meta
-        entry: Dict[str, Any] = {
-            "doc_id": meta.doc_id,
-            "url": meta.url,
-            "kind": meta.kind,
-            "dtd_url": meta.dtd_url,
-            "dtd_id": meta.dtd_id,
-            "domain": meta.domain,
-            "last_accessed": meta.last_accessed,
-            "last_updated": meta.last_updated,
-            "signature": meta.signature,
-            "version": meta.version,
-            "importance": meta.importance,
-        }
-        if stored.current is not None:
-            entry["xml"] = serialize(stored.current)
-            entry["xids"] = [
-                node.xid for node in stored.current.preorder()
-            ]
-            assert stored.xid_space is not None
-            entry["next_xid"] = stored.xid_space.next_xid
-        documents.append(entry)
-    return {
-        "documents": documents,
-        "next_doc_id": repository._next_doc_id,
-    }
-
-
-def _capture_dlq(dlq: DeadLetterQueue) -> Dict[str, Any]:
-    return {
-        "capacity": dlq.capacity,
-        "dropped": dlq.dropped,
-        "total_quarantined": dlq.total_quarantined,
-        "entries": [entry.to_dict() for entry in dlq.entries()],
-    }
-
-
-def _capture_crawler(crawler: Any) -> Dict[str, Any]:
-    change_model = crawler.change_model
-    if change_model.element_factory != change_model._default_factory:
-        raise RecoveryError(
-            "cannot checkpoint a crawler whose change model uses a custom"
-            " element_factory (its state is not capturable); use the"
-            " default factory or checkpoint without the crawler"
-        )
-    pages = []
-    for page in crawler._pages.values():
-        pages.append(
-            {
-                "url": page.url,
-                "kind": page.kind,
-                "content": (
-                    serialize(page.document)
-                    if page.document is not None
-                    else page.html
-                ),
-                "importance": page.importance,
-                "change_probability": page.change_probability,
-                "refresh_interval": page.refresh_interval,
-                "next_fetch": page.next_fetch,
-                "fetch_count": page.fetch_count,
-            }
-        )
-    breakers = {}
-    for url, breaker in crawler._breakers.items():
-        breakers[url] = {
-            "failure_threshold": breaker.failure_threshold,
-            "reset_timeout": breaker.reset_timeout,
-            "state": breaker.state,
-            "consecutive_failures": breaker.consecutive_failures,
-            "opened_at": breaker.opened_at,
-            "state_changes": breaker.state_changes,
-        }
-    state: Dict[str, Any] = {
-        "rng": _encode_rng(crawler.rng),
-        "base_interval": crawler.base_interval,
-        "pages": pages,
-        "queue": [[due, url] for due, url in crawler._queue],
-        "retry_states": {
-            url: {
-                "fetch": {
-                    "url": retry.fetch.url,
-                    "content": retry.fetch.content,
-                    "kind": retry.fetch.kind,
-                },
-                "due": retry.due,
-                "attempt": retry.attempt,
-            }
-            for url, retry in crawler._retry_states.items()
-        },
-        "breakers": breakers,
-        "counters": {
-            "fetches_emitted": crawler.fetches_emitted,
-            "faults_seen": crawler.faults_seen,
-            "retries_scheduled": crawler.retries_scheduled,
-            "dead_lettered": crawler.dead_lettered,
-        },
-        "change_model": {
-            "rng": _encode_rng(change_model.rng),
-            "insert_serial": change_model._insert_serial,
-            "generator_rng": _encode_rng(change_model._insert_generator.rng),
-        },
-    }
-    if crawler.fault_injector is not None:
-        injector = crawler.fault_injector
-        state["injector"] = {
-            "rng": _encode_rng(injector.rng),
-            "rolls": injector.rolls,
-            "injected": dict(injector.injected),
-        }
-    return state
-
-
-# -- restore -----------------------------------------------------------------
 
 
 def restore_runtime(
@@ -253,189 +91,26 @@ def restore_runtime(
         ) from None
     system.documents_fed = int(state["documents_fed"])
     system.documents_rejected = int(state["documents_rejected"])
-    _restore_repository(system.repository, state["repository"])
-    _restore_reporter(system.reporter, state["reporter"])
+    if len(system.repository):
+        raise RecoveryError(
+            "restore_runtime needs an empty repository (build a fresh"
+            " system before recovering)"
+        )
+    system.repository.restore_state(state["repository"])
+    system.reporter.restore_state(state["reporter"])
     if "dead_letters" in state:
         if system.dead_letters is None:
             system.dead_letters = DeadLetterQueue(
                 capacity=int(state["dead_letters"]["capacity"]),
                 metrics=system.metrics,
             )
-        _restore_dlq(system.dead_letters, state["dead_letters"])
+        system.dead_letters.restore_state(state["dead_letters"])
     if crawler is not None:
         if "crawler" not in state:
             raise RecoveryError(
                 "the checkpoint holds no crawler state (it was written"
                 " without a crawler attached)"
             )
-        _restore_crawler(crawler, state["crawler"])
+        crawler.restore_state(state["crawler"])
     if estimator is not None and "estimator" in state:
         estimator.restore_state(state["estimator"])
-
-
-def _restore_reporter(reporter: Any, state: Dict[str, Any]) -> None:
-    for key, payload in state["buffers"].items():
-        subscription_id = int(key)
-        buffer = reporter._buffers.get(subscription_id)
-        if buffer is None:
-            raise RecoveryError(
-                f"checkpoint names subscription {subscription_id} but the"
-                " recovered manager has no report buffer for it — recover"
-                " the subscription database first"
-            )
-        buffer.notifications = [
-            parse(xml).root for xml in payload["notifications"]
-        ]
-        buffer.suppressed = int(payload["suppressed"])
-        buffer.last_delivery_at = payload["last_delivery_at"]
-        buffer.pending_rate_limited = bool(payload["pending_rate_limited"])
-        buffer.state.total_count = int(payload["state"]["total_count"])
-        buffer.state.counts_by_query = dict(
-            payload["state"]["counts_by_query"]
-        )
-        buffer.state.last_report_at = payload["state"]["last_report_at"]
-        buffer.state.last_arrival_at = payload["state"]["last_arrival_at"]
-
-
-def _restore_repository(repository: Any, state: Dict[str, Any]) -> None:
-    if len(repository):
-        raise RecoveryError(
-            "restore_runtime needs an empty repository (build a fresh"
-            " system before recovering)"
-        )
-    for entry in state["documents"]:
-        meta = DocumentMeta(
-            doc_id=entry["doc_id"],
-            url=entry["url"],
-            kind=entry["kind"],
-            dtd_url=entry["dtd_url"],
-            dtd_id=entry["dtd_id"],
-            domain=entry["domain"],
-            last_accessed=entry["last_accessed"],
-            last_updated=entry["last_updated"],
-            signature=entry["signature"],
-            version=entry["version"],
-            importance=entry["importance"],
-        )
-        document = None
-        xid_space: Optional[XidSpace] = None
-        if entry["kind"] == XML:
-            document = parse(entry["xml"])
-            nodes = list(document.preorder())
-            if len(nodes) != len(entry["xids"]):
-                raise RecoveryError(
-                    f"checkpoint for document {meta.url} is corrupt: XID"
-                    " list does not match the node count"
-                )
-            for node, xid in zip(nodes, entry["xids"]):
-                node.xid = xid
-            floor = max(entry["next_xid"], max_xid(document) + 1)
-            xid_space = XidSpace(first_xid=floor)
-        stored = _StoredDocument(
-            meta=meta, current=document, xid_space=xid_space
-        )
-        repository._by_url[meta.url] = meta.doc_id
-        repository._docs[meta.doc_id] = stored
-        if document is not None:
-            if meta.dtd_url is not None:
-                repository.classifier.dtd_registry.register(meta.dtd_url)
-            repository.indexes.index_document(
-                meta.doc_id, document, domain=meta.domain
-            )
-    repository._next_doc_id = int(state["next_doc_id"])
-
-
-def _restore_dlq(dlq: DeadLetterQueue, state: Dict[str, Any]) -> None:
-    dlq.purge()
-    for record in state["entries"]:
-        dlq._entries.append(DeadLetterEntry.from_dict(record))
-    dlq.dropped = int(state["dropped"])
-    dlq.total_quarantined = int(state["total_quarantined"])
-    dlq._depth_gauge.set(len(dlq._entries))
-
-
-def _restore_crawler(crawler: Any, state: Dict[str, Any]) -> None:
-    import heapq
-
-    from ..pipeline.stream import Fetch
-
-    _decode_rng(crawler.rng, state["rng"])
-    crawler.base_interval = state["base_interval"]
-    crawler._pages = {}
-    for entry in state["pages"]:
-        is_xml = entry["kind"] == XML
-        crawler._pages[entry["url"]] = CrawledPage(
-            url=entry["url"],
-            kind=entry["kind"],
-            document=parse(entry["content"]) if is_xml else None,
-            html=None if is_xml else entry["content"],
-            importance=entry["importance"],
-            change_probability=entry["change_probability"],
-            refresh_interval=entry["refresh_interval"],
-            next_fetch=entry["next_fetch"],
-            fetch_count=entry["fetch_count"],
-        )
-    queue = [(due, url) for due, url in state["queue"]]
-    heapq.heapify(queue)
-    crawler._queue = queue
-    crawler._retry_states = {
-        url: _RetryState(
-            fetch=Fetch(
-                url=payload["fetch"]["url"],
-                content=payload["fetch"]["content"],
-                kind=payload["fetch"]["kind"],
-            ),
-            due=payload["due"],
-            attempt=payload["attempt"],
-        )
-        for url, payload in state["retry_states"].items()
-    }
-    crawler._breakers = {}
-    for url, payload in state["breakers"].items():
-        # _breaker_for wires the metric-recording on_state_change wrapper;
-        # the dynamic fields are then restored *directly* (not through
-        # _transition) so restoration never fires spurious state-change
-        # metrics.
-        breaker = crawler._breaker_for(url)
-        if breaker is None:
-            breaker = crawler._breakers[url] = CircuitBreaker(
-                failure_threshold=int(payload["failure_threshold"]),
-                reset_timeout=payload["reset_timeout"],
-            )
-        breaker.failure_threshold = int(payload["failure_threshold"])
-        breaker.reset_timeout = payload["reset_timeout"]
-        breaker.state = payload["state"]
-        breaker.consecutive_failures = int(payload["consecutive_failures"])
-        breaker.opened_at = payload["opened_at"]
-        breaker.state_changes = int(payload["state_changes"])
-    counters = state["counters"]
-    crawler.fetches_emitted = int(counters["fetches_emitted"])
-    crawler.faults_seen = int(counters["faults_seen"])
-    crawler.retries_scheduled = int(counters["retries_scheduled"])
-    crawler.dead_lettered = int(counters["dead_lettered"])
-
-    change_model = crawler.change_model
-    if change_model._insert_generator is None:
-        raise RecoveryError(
-            "cannot restore crawler state into a change model with a"
-            " custom element_factory"
-        )
-    payload = state["change_model"]
-    _decode_rng(change_model.rng, payload["rng"])
-    change_model._insert_serial = int(payload["insert_serial"])
-    _decode_rng(change_model._insert_generator.rng, payload["generator_rng"])
-
-    if "injector" in state:
-        if crawler.fault_injector is None:
-            raise RecoveryError(
-                "the checkpoint was written with a fault injector wired;"
-                " rebuild the crawler with the same FaultPlan before"
-                " restoring"
-            )
-        payload = state["injector"]
-        _decode_rng(crawler.fault_injector.rng, payload["rng"])
-        crawler.fault_injector.rolls = int(payload["rolls"])
-        crawler.fault_injector.injected = {
-            kind: int(count)
-            for kind, count in payload["injected"].items()
-        }

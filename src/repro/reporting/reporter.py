@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..clock import Clock, SimulatedClock
-from ..errors import ReportingError
+from ..errors import RecoveryError, ReportingError
 from ..language.ast import ReportCondition
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
 from ..observability.names import (
@@ -31,6 +31,7 @@ from ..observability.names import (
 from ..observability.tracing import stage_histogram
 from ..language.frequencies import period_seconds
 from ..xmlstore.nodes import Document, ElementNode
+from ..xmlstore.parser import parse
 from ..xmlstore.serializer import serialize
 from .archive import ReportArchive
 from .conditions import BufferState, condition_holds
@@ -63,6 +64,35 @@ class _SubscriptionBuffer:
     suppressed: int = 0  # dropped past the atmost count
     last_delivery_at: Optional[float] = None
     pending_rate_limited: bool = False
+
+    def state_dict(self) -> Dict:
+        return {
+            "notifications": [
+                serialize(element) for element in self.notifications
+            ],
+            "suppressed": self.suppressed,
+            "last_delivery_at": self.last_delivery_at,
+            "pending_rate_limited": self.pending_rate_limited,
+            "state": {
+                "total_count": self.state.total_count,
+                "counts_by_query": dict(self.state.counts_by_query),
+                "last_report_at": self.state.last_report_at,
+                "last_arrival_at": self.state.last_arrival_at,
+            },
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        self.notifications = [
+            parse(xml).root for xml in state["notifications"]
+        ]
+        self.suppressed = int(state["suppressed"])
+        self.last_delivery_at = state["last_delivery_at"]
+        self.pending_rate_limited = bool(state["pending_rate_limited"])
+        counts = state["state"]
+        self.state.total_count = int(counts["total_count"])
+        self.state.counts_by_query = dict(counts["counts_by_query"])
+        self.state.last_report_at = counts["last_report_at"]
+        self.state.last_arrival_at = counts["last_arrival_at"]
 
 
 @dataclass
@@ -257,3 +287,29 @@ class Reporter:
             return False
         self._generate_report(buffer, self.clock.now())
         return True
+
+    # -- checkpoint state -----------------------------------------------------------------
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable state: every subscription's buffered
+        notifications, suppression and rate-limit state and
+        ``when``-condition counters."""
+        return {
+            "buffers": {
+                str(subscription_id): buffer.state_dict()
+                for subscription_id, buffer in self._buffers.items()
+            }
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        """Refill the buffers of the subscriptions registered here."""
+        for key, payload in state["buffers"].items():
+            subscription_id = int(key)
+            buffer = self._buffers.get(subscription_id)
+            if buffer is None:
+                raise RecoveryError(
+                    f"checkpoint names subscription {subscription_id} but"
+                    " the recovered manager has no report buffer for it —"
+                    " recover the subscription database first"
+                )
+            buffer.restore_state(payload)

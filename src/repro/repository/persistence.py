@@ -1,26 +1,24 @@
 """Warehouse persistence: save/load a repository to a directory.
 
 The original Natix store is disk-based; our in-memory substitute gains
-durability through an explicit snapshot: one XML file per document version
-chain plus a JSON manifest of metadata.  Reloading reproduces the current
-versions, metadata, indexes and XID spaces (history chains are rebuilt
-lazily — older versions are *not* persisted, matching what the monitoring
-subsystem needs after a restart: the latest version to diff future fetches
-against).
+durability through an explicit snapshot: ``manifest.json`` holds
+:meth:`Repository.state_dict` — every document's metadata and current
+version with its XIDs, the doc-id counter and the DTD id table — written
+atomically.  Reloading restores exactly that through
+:meth:`Repository.restore_state`, which rebuilds the indexes.  Older
+versions are *not* persisted, matching what the monitoring subsystem
+needs after a restart: the latest version to diff future fetches
+against.  A crash-recovery checkpoint carries the same state.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
 
-from ..diff.xids import XidSpace, max_xid
 from ..errors import RepositoryError
-from ..xmlstore.parser import parse
-from ..xmlstore.serializer import serialize
-from .metadata import XML, DocumentMeta
-from .store import Repository, _StoredDocument
+from ..minisql.wal import write_json_atomic
+from .store import Repository
 
 _MANIFEST = "manifest.json"
 
@@ -28,101 +26,17 @@ _MANIFEST = "manifest.json"
 def save_repository(repository: Repository, directory: str) -> int:
     """Write the warehouse snapshot; returns the number of documents."""
     os.makedirs(directory, exist_ok=True)
-    manifest = []
-    for meta in repository.all_meta():
-        entry: Dict = {
-            "doc_id": meta.doc_id,
-            "url": meta.url,
-            "kind": meta.kind,
-            "dtd_url": meta.dtd_url,
-            "dtd_id": meta.dtd_id,
-            "domain": meta.domain,
-            "last_accessed": meta.last_accessed,
-            "last_updated": meta.last_updated,
-            "signature": meta.signature,
-            "version": meta.version,
-            "importance": meta.importance,
-        }
-        if meta.is_xml:
-            document = repository.document(meta.doc_id)
-            stored = repository._docs[meta.doc_id]
-            entry["file"] = f"doc-{meta.doc_id}.xml"
-            entry["xids"] = _xid_list(document)
-            assert stored.xid_space is not None
-            entry["next_xid"] = stored.xid_space.next_xid
-            path = os.path.join(directory, entry["file"])
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(serialize(document))
-        manifest.append(entry)
-    manifest_path = os.path.join(directory, _MANIFEST)
-    temp = manifest_path + ".tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump({"documents": manifest}, handle)
-    os.replace(temp, manifest_path)
-    return len(manifest)
+    state = repository.state_dict()
+    write_json_atomic(os.path.join(directory, _MANIFEST), state)
+    return len(state["documents"])
 
 
-def load_repository(
-    repository: Repository, directory: str
-) -> int:
+def load_repository(repository: Repository, directory: str) -> int:
     """Populate an *empty* repository from a snapshot; returns the count."""
-    if len(repository):
-        raise RepositoryError("load_repository needs an empty repository")
     manifest_path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(manifest_path):
         raise RepositoryError(f"no warehouse snapshot in {directory!r}")
     with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    max_doc_id = 0
-    for entry in manifest["documents"]:
-        meta = DocumentMeta(
-            doc_id=entry["doc_id"],
-            url=entry["url"],
-            kind=entry["kind"],
-            dtd_url=entry["dtd_url"],
-            dtd_id=entry["dtd_id"],
-            domain=entry["domain"],
-            last_accessed=entry["last_accessed"],
-            last_updated=entry["last_updated"],
-            signature=entry["signature"],
-            version=entry["version"],
-            importance=entry["importance"],
-        )
-        document = None
-        xid_space: Optional[XidSpace] = None
-        if entry["kind"] == XML:
-            path = os.path.join(directory, entry["file"])
-            with open(path, "r", encoding="utf-8") as handle:
-                document = parse(handle.read())
-            _apply_xid_list(document, entry["xids"])
-            floor = max(entry.get("next_xid", 1), max_xid(document) + 1)
-            xid_space = XidSpace(first_xid=floor)
-        stored = _StoredDocument(
-            meta=meta, current=document, xid_space=xid_space
-        )
-        repository._by_url[meta.url] = meta.doc_id
-        repository._docs[meta.doc_id] = stored
-        if document is not None:
-            if meta.dtd_url is not None:
-                repository.classifier.dtd_registry.register(meta.dtd_url)
-            repository.indexes.index_document(
-                meta.doc_id, document, domain=meta.domain
-            )
-        max_doc_id = max(max_doc_id, meta.doc_id)
-    repository._next_doc_id = max_doc_id + 1
-    return len(manifest["documents"])
-
-
-def _xid_list(document) -> list:
-    return [node.xid for node in document.preorder()]
-
-
-def _apply_xid_list(document, xids: list) -> None:
-    nodes = list(document.preorder())
-    if len(nodes) != len(xids):
-        raise RepositoryError(
-            "warehouse snapshot is corrupt: XID list does not match the"
-            " document's node count"
-        )
-    for node, xid in zip(nodes, xids):
-        node.xid = xid
+        state = json.load(handle)
+    repository.restore_state(state)
+    return len(state["documents"])

@@ -33,6 +33,11 @@ The DOCTYPE is not part of the signed tree.  Every fetch records the
 fetched version's DOCTYPE on the stored document, its metadata
 (``dtd_url``, ``dtd_id``) and the DTD index, even when the tree is
 unchanged and the status says so.
+
+:meth:`Repository.state_dict` / :meth:`Repository.restore_state` carry
+the current versions with their XIDs, the metadata, the doc-id counter
+and the DTD id table; warehouse snapshots (:mod:`.persistence`) and
+crash-recovery checkpoints both use them.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from ..diff import (
     copy_document,
     document_signature,
     page_signature,
+    space_for,
 )
 from ..errors import DiffError, DocumentNotFound, RepositoryError
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
@@ -63,6 +69,7 @@ from ..observability.names import (
 from ..observability.tracing import stage_histogram
 from ..xmlstore.nodes import Document
 from ..xmlstore.parser import parse
+from ..xmlstore.serializer import serialize
 from .index import WarehouseIndexes
 from .metadata import HTML, XML, DocumentMeta
 from .semantics import SemanticClassifier
@@ -98,6 +105,39 @@ class _StoredDocument:
     #: ``page_signature`` of the raw text last stored (XML only).  None
     #: after a ``Document`` input or a restore, so the next fetch parses.
     raw_signature: Optional[int] = None
+
+    def state_dict(self) -> Dict:
+        """The metadata and, for XML, the current version with its XIDs
+        (the history chain is not kept)."""
+        meta = dict(vars(self.meta))
+        del meta["filename"]  # derived from the URL
+        state: Dict = {"meta": meta}
+        if self.current is not None:
+            assert self.xid_space is not None
+            state["xml"] = serialize(self.current)
+            state["xids"] = [node.xid for node in self.current.preorder()]
+            state["next_xid"] = self.xid_space.next_xid
+        return state
+
+    @classmethod
+    def from_state_dict(cls, state: Dict) -> "_StoredDocument":
+        meta = DocumentMeta(**state["meta"])
+        if "xml" not in state:
+            return cls(meta=meta, current=None, xid_space=None)
+        document = parse(state["xml"])
+        nodes = list(document.preorder())
+        if len(nodes) != len(state["xids"]):
+            raise RepositoryError(
+                f"saved state of {meta.url} is corrupt: XID list does not"
+                " match the node count"
+            )
+        for node, xid in zip(nodes, state["xids"]):
+            node.xid = xid
+        return cls(
+            meta=meta,
+            current=document,
+            xid_space=space_for(document, state["next_xid"]),
+        )
 
 
 class Repository:
@@ -439,3 +479,34 @@ class Repository:
         doc_id = self._by_url.get(url)
         if doc_id is not None:
             self._docs[doc_id].meta.importance += amount
+
+    # -- checkpoint state ------------------------------------------------------
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable state: every document's metadata and current
+        version with its XIDs, the doc-id counter and the DTD id table.
+
+        Retained older versions are not kept: after a restart the
+        monitoring path needs only the latest version to diff against.
+        """
+        return {
+            "documents": [
+                stored.state_dict() for stored in self._docs.values()
+            ],
+            "next_doc_id": self._next_doc_id,
+            "dtds": self.classifier.dtd_registry.state_dict(),
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        """Load a :meth:`state_dict` into this empty repository and
+        index every restored version."""
+        if self._docs:
+            raise RepositoryError("restore_state needs an empty repository")
+        self.classifier.dtd_registry.restore_state(state["dtds"])
+        for entry in state["documents"]:
+            stored = _StoredDocument.from_state_dict(entry)
+            self._by_url[stored.meta.url] = stored.meta.doc_id
+            self._docs[stored.meta.doc_id] = stored
+            if stored.current is not None:
+                self._reindex(stored)
+        self._next_doc_id = int(state["next_doc_id"])

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..diff.delta import copy_document
+from ..errors import RecoveryError
+from ..rng import rng_state, set_rng_state
 from ..xmlstore.nodes import Document, ElementNode, TextNode
 from .sitegen import SiteGenerator
 from .vocabulary import random_sentence
@@ -40,8 +42,8 @@ class ChangeModel:
         self.rng = random.Random(seed)
         self.rates = rates if rates is not None else ChangeRates()
         #: Builds subtrees for insertions; defaults to catalog products.
-        # The default lives in instance attributes (not a closure) so crash
-        # recovery can checkpoint and restore its generator RNG + serial.
+        # The default lives in instance attributes (not a closure) so
+        # state_dict can checkpoint its generator RNG and serial.
         self._insert_generator: Optional[SiteGenerator] = None
         self._insert_serial = 10_000
         if element_factory is None:
@@ -52,6 +54,31 @@ class ChangeModel:
     def _default_factory(self) -> ElementNode:
         self._insert_serial += 1
         return self._insert_generator.product(self._insert_serial)
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable state: the edit RNG and the default factory's
+        product RNG and serial (crash-recovery checkpoints)."""
+        if self.element_factory != self._default_factory:
+            raise RecoveryError(
+                "cannot checkpoint a crawler whose change model uses a custom"
+                " element_factory (its state is not capturable); use the"
+                " default factory or checkpoint without the crawler"
+            )
+        return {
+            "rng": rng_state(self.rng),
+            "insert_serial": self._insert_serial,
+            "generator_rng": rng_state(self._insert_generator.rng),
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        if self._insert_generator is None:
+            raise RecoveryError(
+                "cannot restore crawler state into a change model with a"
+                " custom element_factory"
+            )
+        set_rng_state(self.rng, state["rng"])
+        self._insert_serial = int(state["insert_serial"])
+        set_rng_state(self._insert_generator.rng, state["generator_rng"])
 
     def _count(self, expected: float) -> int:
         """Sample an edit count with the given expectation (Bernoulli/int mix)."""

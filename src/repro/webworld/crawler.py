@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..clock import Clock, SECONDS_PER_DAY, SimulatedClock
-from ..errors import FetchError, PipelineError
+from ..errors import FetchError, PipelineError, RecoveryError
 from ..faults.dlq import DeadLetterEntry, DeadLetterQueue, SOURCE_CRAWL
 from ..faults.injector import FaultInjector
 from ..faults.retry import CLOSED, CircuitBreaker, RetryPolicy
@@ -47,9 +47,20 @@ from ..observability.names import (
     COUNTER_RETRY_ATTEMPTS,
 )
 from ..pipeline.stream import Fetch, HTML_PAGE, XML_PAGE
+from ..rng import rng_state, set_rng_state
 from ..xmlstore.nodes import Document
+from ..xmlstore.parser import parse
 from ..xmlstore.serializer import serialize
 from .change_model import ChangeModel
+
+
+#: The crawler's running counters, checkpointed by name.
+_COUNTERS = (
+    "fetches_emitted",
+    "faults_seen",
+    "retries_scheduled",
+    "dead_lettered",
+)
 
 
 @dataclass
@@ -65,6 +76,19 @@ class CrawledPage:
     next_fetch: float = 0.0
     fetch_count: int = 0
 
+    def state_dict(self) -> Dict:
+        state = dict(vars(self))
+        if self.document is not None:
+            state["document"] = serialize(self.document)
+        return state
+
+    @classmethod
+    def from_state_dict(cls, state: Dict) -> "CrawledPage":
+        state = dict(state)
+        if state["document"] is not None:
+            state["document"] = parse(state["document"])
+        return cls(**state)
+
 
 @dataclass
 class _RetryState:
@@ -73,6 +97,21 @@ class _RetryState:
     fetch: Fetch
     due: float       # the nominal due time the failed attempt served
     attempt: int     # attempts made so far (>= 1)
+
+    def state_dict(self) -> Dict:
+        return {
+            "fetch": dict(vars(self.fetch)),
+            "due": self.due,
+            "attempt": self.attempt,
+        }
+
+    @classmethod
+    def from_state_dict(cls, state: Dict) -> "_RetryState":
+        return cls(
+            fetch=Fetch(**state["fetch"]),
+            due=state["due"],
+            attempt=int(state["attempt"]),
+        )
 
 
 class SimulatedCrawler:
@@ -238,6 +277,68 @@ class SimulatedCrawler:
 
             breaker.on_state_change = record
         return breaker
+
+    # -- checkpoint state --------------------------------------------------------
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable crawl cursor: the page table with contents,
+        the due-time heap, retry states, circuit breakers, counters and
+        every RNG that drives content evolution or fault injection, so a
+        restored crawler yields byte-identical fetches."""
+        state: Dict = {
+            "rng": rng_state(self.rng),
+            "base_interval": self.base_interval,
+            "pages": [page.state_dict() for page in self._pages.values()],
+            "queue": [list(entry) for entry in self._queue],
+            "retry_states": {
+                url: retry.state_dict()
+                for url, retry in self._retry_states.items()
+            },
+            "breakers": {
+                url: breaker.state_dict()
+                for url, breaker in self._breakers.items()
+            },
+            "counters": {name: getattr(self, name) for name in _COUNTERS},
+            "change_model": self.change_model.state_dict(),
+        }
+        if self.fault_injector is not None:
+            state["injector"] = self.fault_injector.state_dict()
+        return state
+
+    def restore_state(self, state: Dict) -> None:
+        """Restore a :meth:`state_dict` in place.  The change model, and
+        the fault injector when the state has one, must be wired as they
+        were when it was taken."""
+        self.change_model.restore_state(state["change_model"])
+        if "injector" in state:
+            if self.fault_injector is None:
+                raise RecoveryError(
+                    "the checkpoint was written with a fault injector wired;"
+                    " rebuild the crawler with the same FaultPlan before"
+                    " restoring"
+                )
+            self.fault_injector.restore_state(state["injector"])
+        set_rng_state(self.rng, state["rng"])
+        self.base_interval = state["base_interval"]
+        self._pages = {}
+        for entry in state["pages"]:
+            page = CrawledPage.from_state_dict(entry)
+            self._pages[page.url] = page
+        self._queue = [(due, url) for due, url in state["queue"]]
+        heapq.heapify(self._queue)
+        self._retry_states = {
+            url: _RetryState.from_state_dict(entry)
+            for url, entry in state["retry_states"].items()
+        }
+        self._breakers = {}
+        for url, entry in state["breakers"].items():
+            # _breaker_for wires the metric-recording state-change hook.
+            breaker = self._breaker_for(url)
+            if breaker is None:
+                breaker = self._breakers[url] = CircuitBreaker()
+            breaker.restore_state(entry)
+        for name in _COUNTERS:
+            setattr(self, name, int(state["counters"][name]))
 
     # -- fetching ----------------------------------------------------------------
 

@@ -64,3 +64,31 @@ class DTDRegistry:
         for dtd_id, assigned in self._domain_of.items():
             if assigned == domain:
                 yield self._url_of[dtd_id]
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable state: each DTD's url, id and domain."""
+        return {
+            "dtds": [
+                [url, dtd_id, self._domain_of[dtd_id]]
+                for url, dtd_id in self._id_of.items()
+            ]
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        """Adopt a saved id table.
+
+        Domain pins already made here (``assign_dtd`` on a fresh
+        classifier) win over the saved ones, and a DTD known here but not
+        in ``state`` gets a fresh id past every saved one.
+        """
+        local = {url: self.domain_for(url) for url in self._id_of}
+        self._id_of, self._url_of, self._domain_of = {}, {}, {}
+        for url, dtd_id, domain in state["dtds"]:
+            self._id_of[url] = dtd_id
+            self._url_of[dtd_id] = url
+            self._domain_of[dtd_id] = domain
+        self._allocator = SequentialIdAllocator(
+            start=max(self._url_of, default=0) + 1
+        )
+        for url, domain in local.items():
+            self.register(url, domain=domain)

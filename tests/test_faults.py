@@ -321,6 +321,39 @@ class TestDeadLetterQueue:
             e.to_dict() for e in queue
         ]
 
+    def test_load_evicts_entries_past_capacity(self, tmp_path):
+        """A file holding more entries than its capacity loads bounded:
+        the oldest are evicted and counted as dropped, as push does."""
+        import json
+
+        path = str(tmp_path / "dlq.json")
+        queue = DeadLetterQueue(capacity=8)
+        for i in range(4):
+            queue.push(self.entry(i))
+        queue.save(path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["capacity"] = 2
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        loaded = DeadLetterQueue.load(path)
+        assert loaded.capacity == 2
+        assert len(loaded) == 2
+        assert [e.url for e in loaded] == ["http://s/2.xml", "http://s/3.xml"]
+        assert loaded.dropped == 2
+        assert loaded.total_quarantined == 4
+
+    def test_save_load_keeps_total_quarantined(self, tmp_path):
+        path = str(tmp_path / "dlq.json")
+        queue = DeadLetterQueue(capacity=2)
+        for i in range(4):
+            queue.push(self.entry(i))
+        queue.save(path)
+        loaded = DeadLetterQueue.load(path)
+        assert loaded.total_quarantined == queue.total_quarantined == 4
+        assert loaded.dropped == queue.dropped == 2
+        assert len(loaded) == 2
+
     def test_save_is_atomic_under_a_mid_write_crash(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the old file intact — never a
         truncated hybrid, never a stray temp file."""

@@ -17,6 +17,7 @@ and the CLI ``chaos --kill`` → ``resume`` round trip.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -308,6 +309,33 @@ class TestStateErrors:
         seed_world(fresh, fresh_crawler, seed=7)
         with pytest.raises(RecoveryError, match="no crawler state"):
             restore_runtime(fresh, state, crawler=fresh_crawler)
+
+
+class TestCrawlerState:
+    def test_restored_crawler_yields_identical_fetches(self):
+        """A crawler restored from its JSON-encoded ``state_dict`` —
+        XML and HTML pages, retry states and breakers under fault
+        injection — yields exactly the fetches the original yields."""
+        system, crawler = build_world(Database(), seed=3, fault_seed=2)
+        seed_world(system, crawler, seed=3)
+        crawler.add_html_page(
+            "http://www.shop9.example/news.html",
+            "<html><body><p>news</p></body></html>",
+            change_probability=0.9,
+        )
+        list(crawler.due_fetches())
+        state = json.loads(json.dumps(crawler.state_dict()))
+        # Fault seed 2 fails two first fetches: both await a retry.
+        assert state["retry_states"] and state["breakers"]
+
+        _, twin = build_world(Database(), seed=3, fault_seed=2)
+        twin.clock.set_time(system.clock.now())
+        twin.restore_state(state)
+        for _ in range(48):
+            assert list(twin.due_fetches()) == list(crawler.due_fetches())
+            system.clock.advance(3600)
+            twin.clock.advance(3600)
+        assert twin.state_dict() == crawler.state_dict()
 
 
 # ---------------------------------------------------------------------------
