@@ -1,8 +1,9 @@
 """T-recover — cost of the crash-recovery layer (PR 5).
 
 One question, crawl-driven end-to-end: what does enabling the runtime
-journal cost when nothing crashes?  Every delivered notification pays
-one fsynced WAL append, and every ``checkpoint_every`` ingested batches
+journal cost when nothing crashes?  Every ingest batch (and every clock
+advance) that delivered a notification pays one group-committed, fsynced
+WAL write, and every ``checkpoint_every`` ingested batches
 the full runtime (reporter buffers, repository versions, crawl cursor,
 RNGs) is snapshotted and the log compacted — at the default
 ``checkpoint_every=64`` the acceptance bar is **< 8% throughput
@@ -54,8 +55,8 @@ def build_world():
         metrics=system.metrics,
     )
     for i in range(SITES):
-        # Heavy pages (as in T-proc): the journal's per-delivery fsync is
-        # a fixed cost, so it must be priced against realistic parse work,
+        # Heavy pages (as in T-proc): the journal's per-batch fsync is a
+        # fixed cost, so it must be priced against realistic parse work,
         # not toy documents.
         crawler.add_xml_page(
             f"http://www.shop{i}.example/catalog.xml",

@@ -8,8 +8,10 @@ Format: one JSON object per line.  Record kinds:
 * ``{"op": "checkpoint"}`` — everything before the *last* checkpoint marker
   is superseded by the snapshot file written alongside it.
 
-A checkpoint writes a full snapshot (``<path>.snapshot``) atomically
-(temp file + rename) and truncates the log.  Recovery loads the snapshot if
+``append`` fsyncs every ``sync_every`` records; ``append_many`` writes a
+group of records and fsyncs once (the runtime journal's per-batch
+commit).  A checkpoint writes a full snapshot (``<path>.snapshot``)
+atomically (temp file + rename) and truncates the log.  Recovery loads the snapshot if
 present, then replays the remaining log records.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, Optional, TextIO
+from typing import Any, Dict, Iterable, Iterator, Optional, TextIO
 
 from ..errors import MiniSQLError
 
@@ -35,12 +37,12 @@ class WriteAheadLog:
 
     def open(self) -> None:
         if self._handle is None:
+            _end_on_line_boundary(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
 
     def close(self) -> None:
         if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._sync()
             self._handle.close()
             self._handle = None
 
@@ -57,13 +59,33 @@ class WriteAheadLog:
         if self._handle is None:
             self.open()
         assert self._handle is not None
-        self._handle.write(json.dumps(record, separators=(",", ":")))
-        self._handle.write("\n")
+        self._handle.write(_line(record))
         self._pending += 1
         if self._pending >= self.sync_every:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._pending = 0
+            self._sync()
+
+    def append_many(self, records: Iterable[Dict[str, Any]]) -> None:
+        """Append ``records`` as one group commit: one write, one fsync.
+
+        Every record is durable when this returns, whatever
+        ``sync_every`` says.  A crash mid-write tears at most the last
+        line, which :meth:`records` skips and the next :meth:`open` cuts
+        off before appending.
+        """
+        text = "".join(_line(record) for record in records)
+        if not text:
+            return
+        if self._handle is None:
+            self.open()
+        assert self._handle is not None
+        self._handle.write(text)
+        self._sync()
+
+    def _sync(self) -> None:
+        assert self._handle is not None
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        self._pending = 0
 
     def truncate(self) -> None:
         """Drop all log content (called right after a snapshot)."""
@@ -93,6 +115,42 @@ class WriteAheadLog:
                 raise MiniSQLError(
                     f"corrupt WAL record at line {index + 1} of {self.path}"
                 )
+
+
+def _line(record: Dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _end_on_line_boundary(path: str) -> None:
+    """Mend a final line a crash left without its newline, so the next
+    append starts a line of its own instead of being glued onto it.
+
+    A tail that parses is a whole record (:meth:`WriteAheadLog.records`
+    yields it) and gets its newline; anything else is a torn write,
+    which ``records`` skips, and is cut off.
+    """
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        handle.seek(size - 1)
+        if handle.read(1) == b"\n":
+            return
+        handle.seek(0)
+        content = handle.read()
+        start = content.rfind(b"\n") + 1
+        try:
+            json.loads(content[start:])
+        except ValueError:
+            handle.truncate(start)
+        else:
+            handle.write(b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def snapshot_path(wal_path: str) -> str:

@@ -255,6 +255,7 @@ class SubscriptionSystem:
         for stage, step in LIFECYCLE:
             step(self, task)
             task.stage = stage
+        self._commit_journal()
         return task.result()
 
     def feed_batch(
@@ -314,6 +315,7 @@ class SubscriptionSystem:
         finally:
             self._run_batch_latency.observe(now() - start)
             self._queue_gauge.set(0)
+        self._commit_journal()
         results: List[FeedResult] = []
         for task in tasks:
             if task.error is not None:
@@ -413,14 +415,15 @@ class SubscriptionSystem:
         crawler: Optional[Any] = None,
         estimator: Optional[Any] = None,
         checkpoint_every: int = 64,
-        sync_every: int = 1,
         metadata: Optional[Any] = None,
     ):
         """Make this system crash-consistent: journal every delivered
-        notification to ``path`` (a :class:`~repro.minisql.wal.WriteAheadLog`)
-        and checkpoint the full runtime — reporter buffers, repository,
-        DLQ, and the ``crawler`` / ``estimator`` cursors when given —
-        every ``checkpoint_every`` :meth:`run_stream` batches.  An initial
+        notification to ``path`` (a :class:`~repro.minisql.wal.WriteAheadLog`,
+        group-committed with one fsync when each ``feed`` / ``feed_batch``
+        / ``advance_time`` call returns) and checkpoint the full runtime —
+        reporter buffers, repository, DLQ, and the ``crawler`` /
+        ``estimator`` cursors when given — every ``checkpoint_every``
+        :meth:`run_stream` batches.  An initial
         checkpoint is written immediately so *any* later crash has a
         restorable snapshot.  Returns the attached
         :class:`~repro.recovery.RecoveryManager`.
@@ -434,7 +437,6 @@ class SubscriptionSystem:
             crawler=crawler,
             estimator=estimator,
             checkpoint_every=checkpoint_every,
-            sync_every=sync_every,
             metadata=metadata,
         )
         manager.attach()
@@ -447,7 +449,6 @@ class SubscriptionSystem:
         crawler: Optional[Any] = None,
         estimator: Optional[Any] = None,
         checkpoint_every: int = 64,
-        sync_every: int = 1,
     ):
         """Rebuild the runtime of a crashed system from its journal.
 
@@ -472,7 +473,6 @@ class SubscriptionSystem:
             crawler=crawler,
             estimator=estimator,
             checkpoint_every=checkpoint_every,
-            sync_every=sync_every,
         )
         manager.recover()
         return manager
@@ -553,11 +553,17 @@ class SubscriptionSystem:
             remaining -= step
             self.trigger_engine.tick()
             self.reporter.tick()
+        self._commit_journal()
 
     def advance_days(self, days: float) -> None:
         self.advance_time(days * SECONDS_PER_DAY)
 
     # -- internal wiring -----------------------------------------------------------------
+
+    def _commit_journal(self) -> None:
+        """Group-commit the deliveries of the call that is returning."""
+        if self.recovery is not None:
+            self.recovery.commit()
 
     def _deliver_continuous(
         self, subscription_id: int, query_name: str, elements

@@ -13,17 +13,29 @@ Layout on disk (same machinery as the MiniSQL store,
       {"state": {...runtime state...},      # see repro.recovery.state
        "seen": ["<id>", ...],               # ids delivered before the ckpt
        "occurrences": {"<digest>": n, ...}, # per-digest delivery counts
+       "occurrences_at": t,                 # the instant they belong to
        "checkpoints": k}
+
+Group commit: :meth:`RuntimeJournal.append_delivery` only queues an id
+in memory; :meth:`RuntimeJournal.commit` writes every queued id with one
+write and one fsync.  The system commits when a ``feed`` / ``feed_batch``
+/ ``advance_time`` call returns, so a batch costs one fsync however many
+notifications it delivered.  Ids queued when a crash strikes are simply
+lost: they are content-addressed, so the resumed run regenerates them
+and journals them then.  They are deliberately not held in the log
+file's write buffer, which a crashed system's garbage-collected file
+object would flush into a journal a resumed system is already writing.
 
 A checkpoint writes the snapshot *first*, then truncates the log — a
 crash between the two (the ``mid-checkpoint`` kill point) leaves stale
 pre-snapshot records in the log, which :meth:`RuntimeJournal.load`
 absorbs idempotently: replaying a delivery id already in the snapshot's
-``seen`` set is a no-op.
+``seen`` set is a no-op.  The snapshot's ``seen`` set covers the queued
+ids too, so a checkpoint drops the queue instead of committing it.
 
 Exactly-once accounting: ``load`` returns ``replayed`` — the number of
-log ids *not* covered by the snapshot, i.e. deliveries made after the
-last checkpoint.  A resumed run regenerates exactly that window (the
+log ids *not* covered by the snapshot, i.e. deliveries committed after
+the last checkpoint.  A resumed run regenerates exactly that window (the
 runtime rewinds to the checkpoint), recomputes the same ids, and dedups
 them against ``seen`` — so ``recovery.deduped == recovery.replayed``
 once the resumed run has caught up, and the journal never holds a
@@ -33,7 +45,7 @@ duplicate id.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import RecoveryError
 from ..faults.killpoints import KILL_POINT_MID_CHECKPOINT, maybe_kill
@@ -50,20 +62,31 @@ _OP_DELIVER = "deliver"
 class RuntimeJournal:
     """Durable record of deliveries + periodic runtime checkpoints."""
 
-    def __init__(self, path: str, sync_every: int = 1):
+    def __init__(self, path: str):
         self.path = path
-        self._wal = WriteAheadLog(path, sync_every=sync_every)
+        self._wal = WriteAheadLog(path)
+        #: Delivered ids not yet committed to the log.
+        self._pending: List[str] = []
         #: Cumulative checkpoint count read back by :meth:`load` (so a
         #: resumed run keeps numbering checkpoints where it left off).
         self.loaded_checkpoints = 0
+        #: The instant the loaded ``occurrences`` belong to.
+        self.loaded_occurrences_at: Optional[float] = None
 
     # -- writing -----------------------------------------------------------
 
     def append_delivery(self, delivery_id: str) -> None:
-        """Journal one delivered-notification id (fsynced per
-        ``sync_every``; the default of 1 makes every delivery durable
-        before the in-memory buffers see it)."""
-        self._wal.append({"op": _OP_DELIVER, "id": delivery_id})
+        """Queue one delivered-notification id for the next :meth:`commit`."""
+        self._pending.append(delivery_id)
+
+    def commit(self) -> None:
+        """Make every queued id durable: one write and one fsync."""
+        if self._pending:
+            self._wal.append_many(
+                {"op": _OP_DELIVER, "id": delivery_id}
+                for delivery_id in self._pending
+            )
+            self._pending = []
 
     def checkpoint(
         self,
@@ -71,21 +94,29 @@ class RuntimeJournal:
         seen: Set[str],
         occurrences: Dict[str, int],
         checkpoints: int,
+        occurrences_at: Optional[float] = None,
     ) -> None:
-        """Write a full runtime snapshot, then truncate the log."""
+        """Write a full runtime snapshot, then truncate the log.
+
+        ``occurrences_at`` is the instant the ``occurrences`` counters
+        belong to (``None`` before any delivery was counted).
+        """
         write_snapshot(
             self.path,
             {
                 "state": state,
                 "seen": sorted(seen),
                 "occurrences": occurrences,
+                "occurrences_at": occurrences_at,
                 "checkpoints": checkpoints,
             },
         )
+        self._pending = []
         maybe_kill(KILL_POINT_MID_CHECKPOINT)
         self._wal.truncate()
 
     def close(self) -> None:
+        self.commit()
         self._wal.close()
 
     # -- reading -----------------------------------------------------------
@@ -105,7 +136,9 @@ class RuntimeJournal:
         (log replay must not advance it — the resumed run regenerates
         the post-checkpoint deliveries and must recompute the same
         occurrence numbers), and ``replayed`` counts the log ids absent
-        from the snapshot.
+        from the snapshot.  The instant those occurrences belong to is
+        left in :attr:`loaded_occurrences_at`; a snapshot that does not
+        record it is rejected.
         """
         snapshot = read_snapshot(self.path)
         state: Optional[Dict[str, Any]] = None
@@ -114,6 +147,13 @@ class RuntimeJournal:
         if snapshot is not None:
             state = snapshot.get("state")
             self.loaded_checkpoints = int(snapshot.get("checkpoints", 0))
+            if "occurrences_at" not in snapshot:
+                raise RecoveryError(
+                    f"snapshot of {self.path} does not record the instant"
+                    " of its occurrence counters (written by an older"
+                    " version; start a fresh journal)"
+                )
+            self.loaded_occurrences_at = snapshot["occurrences_at"]
             seen = set(snapshot.get("seen", []))
             occurrences = {
                 digest: int(count)

@@ -5,8 +5,11 @@ One manager attaches to one :class:`~repro.pipeline.system.SubscriptionSystem`
 
 * **journal every delivery** — it taps ``Reporter.delivery_hook``, so
   each outgoing notification is assigned a deterministic delivery id and
-  appended to the :class:`~repro.recovery.journal.RuntimeJournal`
-  *before* the in-memory report buffers absorb it;
+  queued in the :class:`~repro.recovery.journal.RuntimeJournal` *before*
+  the in-memory report buffers absorb it; the system calls
+  :meth:`RecoveryManager.commit` when a ``feed`` / ``feed_batch`` /
+  ``advance_time`` call returns, which makes the queued ids durable with
+  one fsync;
 * **checkpoint periodically** — ``SubscriptionSystem.run_stream``
   calls :meth:`RecoveryManager.note_batch` after each batch returns from
   ``feed_batch``, and every ``checkpoint_every`` batches the manager
@@ -28,7 +31,10 @@ payloads delivered repeatedly stay distinct while a *replayed* delivery
 of the same content at the same simulated instant maps onto the same id.
 Occurrence counters are restored from the snapshot only — never advanced
 by log replay — which is exactly what lets the regenerated window
-recompute identical ids.
+recompute identical ids.  Since a digest hashes the instant, a counter
+can only be hit again at the same instant: the manager keeps the
+counters of the current instant alone and drops them when the clock
+moves.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ class RecoveryManager:
         crawler: Optional[Any] = None,
         estimator: Optional[Any] = None,
         checkpoint_every: int = 64,
-        sync_every: int = 1,
         metadata: Optional[Dict[str, Any]] = None,
     ):
         if checkpoint_every < 1:
@@ -78,9 +83,11 @@ class RecoveryManager:
         self.crawler = crawler
         self.estimator = estimator
         self.checkpoint_every = checkpoint_every
-        self.journal = RuntimeJournal(path, sync_every=sync_every)
+        self.journal = RuntimeJournal(path)
         self.seen: Set[str] = set()
+        #: Per-digest delivery counts at the instant ``occurrences_at``.
         self.occurrences: Dict[str, int] = {}
+        self.occurrences_at: Optional[float] = None
         self.checkpoints = 0
         self.deduped = 0
         self.replayed = 0
@@ -117,12 +124,16 @@ class RecoveryManager:
         query_name: Optional[str],
         elements: List[Any],
     ) -> str:
+        now = self.system.clock.now()
+        if now != self.occurrences_at:
+            self.occurrences = {}
+            self.occurrences_at = now
         payload = json.dumps(
             [
                 subscription_id,
                 query_name,
                 [serialize(element) for element in elements],
-                self.system.clock.now(),
+                now,
             ],
             sort_keys=True,
             separators=(",", ":"),
@@ -151,6 +162,10 @@ class RecoveryManager:
             self.seen.add(delivery_id)
         maybe_kill(KILL_POINT_POST_DELIVER)
 
+    def commit(self) -> None:
+        """Make the deliveries journaled since the last commit durable."""
+        self.journal.commit()
+
     # -- checkpoint cadence ------------------------------------------------
 
     def note_batch(self) -> None:
@@ -168,13 +183,18 @@ class RecoveryManager:
         if self.metadata is not None:
             state["metadata"] = self.metadata
         self.journal.checkpoint(
-            state, self.seen, self.occurrences, self.checkpoints + 1
+            state,
+            self.seen,
+            self.occurrences,
+            self.checkpoints + 1,
+            self.occurrences_at,
         )
         self.checkpoints += 1
         self._checkpoint_counter.inc()
         self._batches_since_checkpoint = 0
 
     def close(self) -> None:
+        """Commit the queued deliveries and close the journal."""
         self.journal.close()
 
     # -- resume ------------------------------------------------------------
@@ -203,6 +223,7 @@ class RecoveryManager:
             self.metadata = state.get("metadata")
         self.seen = seen
         self.occurrences = occurrences
+        self.occurrences_at = self.journal.loaded_occurrences_at
         self.replayed = replayed
         self.checkpoints = self.journal.loaded_checkpoints
         self.attach()

@@ -97,7 +97,9 @@ def restore_runtime(
             " system before recovering)"
         )
     system.repository.restore_state(state["repository"])
-    system.reporter.restore_state(state["reporter"])
+    system.reporter.restore_state(
+        state["reporter"], removed=system.manager.was_removed
+    )
     if "dead_letters" in state:
         if system.dead_letters is None:
             system.dead_letters = DeadLetterQueue(

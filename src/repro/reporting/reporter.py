@@ -301,12 +301,23 @@ class Reporter:
             }
         }
 
-    def restore_state(self, state: Dict) -> None:
-        """Refill the buffers of the subscriptions registered here."""
+    def restore_state(
+        self,
+        state: Dict,
+        removed: Callable[[int], bool],
+    ) -> None:
+        """Refill the buffers of the subscriptions registered here.
+
+        A buffer of a subscription that ``removed`` says was unsubscribed
+        since the checkpoint is dropped, as :meth:`unregister` would have
+        dropped it; any other unknown subscription is an error.
+        """
         for key, payload in state["buffers"].items():
             subscription_id = int(key)
             buffer = self._buffers.get(subscription_id)
             if buffer is None:
+                if removed(subscription_id):
+                    continue
                 raise RecoveryError(
                     f"checkpoint names subscription {subscription_id} but"
                     " the recovered manager has no report buffer for it —"

@@ -55,10 +55,6 @@ class CompiledSubscription:
     #: Complex-event codes registered for this subscription's monitoring
     #: queries, aligned with the parsed ``monitoring`` list.
     complex_codes: List[int] = field(default_factory=list)
-    #: Per complex code: (unique event keys, their atomic codes).
-    event_keys: Dict[int, List[Tuple[AtomicEventKey, int]]] = field(
-        default_factory=dict
-    )
     bindings: Dict[int, NotificationBinding] = field(default_factory=dict)
     #: (target subscription name, query name or None) virtual references.
     virtual_refs: List[Tuple[str, Optional[str]]] = field(default_factory=list)
@@ -189,7 +185,7 @@ class SubscriptionCompiler:
                 narrowed, condition_codes
             ).items():
                 merged_item_codes.setdefault(item, code)
-            disjunct_events.append((event, unique))
+            disjunct_events.append(event)
 
         binding = NotificationBinding(
             subscription_id=compiled.subscription_id,
@@ -198,18 +194,21 @@ class SubscriptionCompiler:
             select=query.select,
             item_codes=merged_item_codes,
         )
-        for event, unique in disjunct_events:
+        for event in disjunct_events:
             compiled.complex_codes.append(event.code)
-            compiled.event_keys[event.code] = list(unique.items())
             compiled.bindings[event.code] = binding
 
     # -- decompile ------------------------------------------------------------------
 
     def release(self, compiled: CompiledSubscription) -> None:
         """Undo every registration of :meth:`compile`."""
+        registry = self.processor.registry
         for complex_code in compiled.complex_codes:
+            # Read the keys before unregistering retires them.
+            codes = registry.complex_event(complex_code).atomic_codes
+            keys = [registry.atomic_key(code) for code in codes]
             self.processor.unregister(complex_code)
-            for key, code in compiled.event_keys.get(complex_code, ()):
+            for key, code in zip(keys, codes):
                 count = self._alerted.get(code, 0) - 1
                 if count <= 0:
                     self._alerted.pop(code, None)

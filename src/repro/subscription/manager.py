@@ -53,6 +53,13 @@ _USERS_SCHEMA = schema(
     Column("email", TEXT, primary_key=True),
     Column("privileged", BOOLEAN, nullable=False),
 )
+#: Next id to issue, saved on removal, so a removed id is never issued again.
+_SEQUENCES_SCHEMA = schema(
+    "sequences",
+    Column("name", TEXT, primary_key=True),
+    Column("next", INTEGER, nullable=False),
+)
+_SUBSCRIPTION_IDS = Eq("name", "subscriptions")
 
 
 class SubscriptionManager:
@@ -71,10 +78,16 @@ class SubscriptionManager:
             self.database.create_table(_SUBSCRIPTIONS_SCHEMA)
         if not self.database.has_table("users"):
             self.database.create_table(_USERS_SCHEMA)
+        if not self.database.has_table("sequences"):
+            self.database.create_table(_SEQUENCES_SCHEMA)
+        self._sequences = self.database.table("sequences")
         self._next_id = 1 + max(
             (row["id"] for row in self.database.table("subscriptions").rows()),
             default=0,
         )
+        mark = self._sequences.get("subscriptions")
+        if mark is not None:
+            self._next_id = max(self._next_id, mark["next"])
         self._subscriptions: Dict[int, CompiledSubscription] = {}
         self._id_by_name: Dict[str, int] = {}
         #: complex code -> owning compiled subscription (binding lookup).
@@ -183,7 +196,19 @@ class SubscriptionManager:
                 if not subscribers:
                     del self._virtual_subscribers[reference]
         self.compiler.release(compiled)
+        self._save_next_id()
         self.database.table("subscriptions").delete(Eq("id", subscription_id))
+
+    def _save_next_id(self) -> None:
+        """Persist the next id before a delete: once a row is gone, the
+        rows alone no longer say which ids were issued."""
+        mark = self._sequences.get("subscriptions")
+        if mark is None:
+            self._sequences.insert(
+                {"name": "subscriptions", "next": self._next_id}
+            )
+        elif mark["next"] != self._next_id:
+            self._sequences.update(_SUBSCRIPTION_IDS, {"next": self._next_id})
 
     def update_subscription(
         self,
@@ -272,6 +297,14 @@ class SubscriptionManager:
 
     def count(self) -> int:
         return len(self._subscriptions)
+
+    def was_removed(self, subscription_id: int) -> bool:
+        """True for an id this store issued that names no subscription
+        any more (ids are never reused, so it never will again)."""
+        return (
+            0 < subscription_id < self._next_id
+            and subscription_id not in self._subscriptions
+        )
 
     def refresh_hints(self) -> Dict[str, float]:
         """url -> smallest requested refresh period across subscriptions."""
@@ -375,7 +408,5 @@ class SubscriptionManager:
             )
             compiled.active = bool(row["active"])
             self._install(compiled)
-            if row["id"] >= self._next_id:
-                self._next_id = row["id"] + 1
             restored += 1
         return restored

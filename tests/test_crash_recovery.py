@@ -99,3 +99,25 @@ class TestCrashRecovery:
         )
         assert second > first
 
+    def test_removed_id_is_not_reissued_after_recovery(self, tmp_path):
+        """Ids stay unique across a recovery even when the newest
+        subscription was removed before the crash: the store keeps the
+        high-water mark, not only the surviving rows."""
+        path = str(tmp_path / "subs.wal")
+        system = SubscriptionSystem(database=Database(path=path))
+        first = system.subscribe(SOURCE, owner_email="a@example.org")
+        second = system.subscribe(SECOND_SOURCE, owner_email="b@example.org")
+        system.unsubscribe(second)
+        system.manager.database.close()
+
+        recovered = SubscriptionSystem(database=Database.recover(path))
+        assert recovered.manager.recover() == 1
+        third = recovered.subscribe(
+            SOURCE.replace("Recovery", "Later"), owner_email="c@example.org"
+        )
+        assert third not in (first, second)
+        assert third == second + 1
+        assert recovered.manager.was_removed(second)
+        assert not recovered.manager.was_removed(first)
+        assert not recovered.manager.was_removed(third + 1)
+

@@ -38,6 +38,51 @@ class TestAppendAndRead:
         log.close()
         assert list(WriteAheadLog(wal_path).records()) == [{"n": 2}]
 
+    def test_append_many_is_one_group(self, wal_path, monkeypatch):
+        syncs = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: syncs.append(fd) or fsync(fd))
+        log = WriteAheadLog(wal_path)
+        log.append_many({"n": n} for n in range(5))
+        log.append_many([])  # nothing to commit: no write, no fsync
+        assert len(syncs) == 1
+        log.close()
+        assert list(WriteAheadLog(wal_path).records()) == [
+            {"n": n} for n in range(5)
+        ]
+
+    def test_torn_group_write_keeps_its_complete_lines(self, wal_path):
+        """A crash in the middle of a group write leaves the lines
+        written before the tear; only the torn tail is dropped, also
+        once the reopened log is appended to."""
+        with WriteAheadLog(wal_path) as log:
+            log.append_many([{"n": 1}, {"n": 2}])
+        group = "".join(
+            json.dumps({"n": n}, separators=(",", ":")) + "\n"
+            for n in (3, 4, 5)
+        )
+        torn = group[: group.index('{"n":5}') + 4]
+        with open(wal_path, "a", encoding="utf-8") as handle:
+            handle.write(torn)
+        assert list(WriteAheadLog(wal_path).records()) == [
+            {"n": n} for n in (1, 2, 3, 4)
+        ]
+        with WriteAheadLog(wal_path) as log:
+            log.append_many([{"n": 6}])
+            log.append({"n": 7})
+        assert list(WriteAheadLog(wal_path).records()) == [
+            {"n": n} for n in (1, 2, 3, 4, 6, 7)
+        ]
+
+    def test_record_missing_its_newline_is_kept_on_append(self, wal_path):
+        with open(wal_path, "w", encoding="utf-8") as handle:
+            handle.write('{"n":1}\n{"n":2}')
+        with WriteAheadLog(wal_path) as log:
+            log.append({"n": 3})
+        assert list(WriteAheadLog(wal_path).records()) == [
+            {"n": n} for n in (1, 2, 3)
+        ]
+
     def test_blank_lines_skipped(self, wal_path):
         with open(wal_path, "w", encoding="utf-8") as handle:
             handle.write('{"n": 1}\n\n{"n": 2}\n')

@@ -287,6 +287,44 @@ class TestStateErrors:
         with pytest.raises(RecoveryError, match="no report buffer"):
             restore_runtime(fresh, state)
 
+    def test_unsubscribe_after_the_checkpoint_drops_its_buffer(
+        self, tmp_path
+    ):
+        """A subscription removed after the last checkpoint is gone from
+        the recovered database, which still knows it issued the id: its
+        checkpointed buffer is dropped, as ``Reporter.unregister`` would
+        have dropped it."""
+        subs_path = str(tmp_path / "a.subs")
+        journal = str(tmp_path / "a.journal")
+        system = SubscriptionSystem(
+            clock=SimulatedClock(START), database=Database(path=subs_path)
+        )
+        keep = system.subscribe(
+            SOURCE.replace("Chaos", "Keep"), owner_email="k@example.org"
+        )
+        gone = system.subscribe(
+            SOURCE.replace("Chaos", "Gone"), owner_email="g@example.org"
+        )
+        system.feed_xml(
+            "http://www.shop0.example/c.xml",
+            "<catalog><Product>camera</Product></catalog>",
+        )
+        system.enable_recovery(journal)
+        system.unsubscribe(gone)
+
+        fresh = SubscriptionSystem(
+            clock=SimulatedClock(START), database=Database.recover(subs_path)
+        )
+        fresh.recover_runtime(journal)
+        assert fresh.reporter.pending_count(keep) == 1
+        assert not fresh.reporter.registered(gone)
+        later = fresh.subscribe(
+            SOURCE.replace("Chaos", "Later"),
+            owner_email="l@example.org",
+            privileged=True,
+        )
+        assert later > gone
+
     def test_custom_element_factory_uncapturable(self, tmp_path):
         from repro.xmlstore.nodes import ElementNode
 
@@ -458,6 +496,171 @@ class TestRecoveryManager:
         occurrences = {i.split(":")[1] for i in manager.seen}
         assert len(digests) == 1  # same content -> same digest
         assert occurrences == {"1", "2"}  # ...distinguished by occurrence
+
+    def test_occurrences_cover_one_instant(self, tmp_path):
+        """A digest hashes the delivery instant, so only the current
+        instant's counters are kept; the snapshot records that instant
+        and a resumed manager recomputes the same ids from it."""
+        from repro.minisql.wal import read_snapshot, write_snapshot
+
+        path = str(tmp_path / "j")
+        clock = SimulatedClock(START)
+        system = SubscriptionSystem(clock=clock)
+        manager = system.enable_recovery(path)
+        manager._on_deliver(1, "Q", [])
+        manager._on_deliver(1, "Q", [])
+        assert list(manager.occurrences.values()) == [2]
+        clock.advance(60)
+        manager.checkpoint()
+        snapshot = read_snapshot(path)
+        assert snapshot["occurrences_at"] == START
+        assert list(snapshot["occurrences"].values()) == [2]
+        manager._on_deliver(1, "Q", [])
+        assert list(manager.occurrences.values()) == [1]
+        assert manager.occurrences_at == START + 60
+        manager.close()
+
+        fresh = SubscriptionSystem(clock=SimulatedClock(START))
+        resumed = fresh.recover_runtime(path)
+        assert resumed.occurrences_at == START
+        assert resumed.replayed == 1
+        resumed._on_deliver(1, "Q", [])
+        assert resumed.seen == manager.seen  # recomputed the same id
+        assert resumed.deduped == 1
+        resumed.close()
+
+        # A snapshot that does not record the instant is rejected.
+        del snapshot["occurrences_at"]
+        write_snapshot(path, snapshot)
+        with pytest.raises(RecoveryError, match="instant"):
+            RuntimeJournal(path).load()
+
+
+# ---------------------------------------------------------------------------
+# Group commit: one fsync per batch
+# ---------------------------------------------------------------------------
+
+
+def camera_pages(prefix, count):
+    return [
+        (
+            f"http://www.shop{prefix}.example/{i}.xml",
+            f"<catalog><Product>camera {i}</Product></catalog>",
+        )
+        for i in range(count)
+    ]
+
+
+def camera_system(tmp_path, subscriptions=3):
+    """A journaled system whose every camera page is delivered once per
+    subscription."""
+    system = SubscriptionSystem(clock=SimulatedClock(START))
+    for n in range(subscriptions):
+        system.subscribe(
+            SOURCE.replace("Chaos", f"Chaos{n}"), owner_email="c@example.org"
+        )
+    manager = system.enable_recovery(str(tmp_path / "j"))
+    return system, manager
+
+
+def logged_ids(path):
+    return [record["id"] for record in RuntimeJournal(path)._wal.records()]
+
+
+@pytest.fixture
+def syncs(monkeypatch):
+    """The file descriptors of every ``os.fsync`` call from now on."""
+    calls = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or fsync(fd))
+    return calls
+
+
+class TestGroupCommit:
+    def test_one_fsync_per_feed_batch(self, tmp_path, syncs):
+        system, manager = camera_system(tmp_path)
+        for index, size in enumerate((1, 2, 5)):
+            syncs.clear()
+            before = len(manager.seen)
+            system.feed_batch(from_pairs(camera_pages(index, size)))
+            assert len(manager.seen) - before == 3 * size
+            assert len(syncs) == 1
+            assert set(logged_ids(str(tmp_path / "j"))) == manager.seen
+        syncs.clear()
+        system.feed_xml(*camera_pages(9, 1)[0])
+        assert len(syncs) == 1
+        # A batch (or a clock advance) that delivers nothing commits
+        # nothing.
+        syncs.clear()
+        system.feed_batch(
+            from_pairs([("http://other.example/x.xml", "<r>camera</r>")])
+        )
+        system.advance_time(3600)
+        assert syncs == []
+
+    def test_trigger_deliveries_commit_when_advance_time_returns(
+        self, tmp_path, syncs
+    ):
+        system = SubscriptionSystem(clock=SimulatedClock(START))
+        system.feed_xml(
+            "http://rijks.example/c.xml",
+            "<museum><address>Amsterdam</address>"
+            "<painting><title>Night Watch</title></painting></museum>",
+        )
+        for name in ("A", "B"):
+            system.subscribe(
+                f"subscription {name}\n"
+                "continuous Paintings\n"
+                "select p/title from culture/museum m, m/painting p\n"
+                'where m/address contains "Amsterdam"\n'
+                "try biweekly\n"
+                "report when immediate\n",
+                owner_email="u@example.org",
+            )
+        manager = system.enable_recovery(str(tmp_path / "j"))
+        syncs.clear()
+        system.advance_days(4)  # 96 hourly ticks, both queries fire once
+        assert len(manager.seen) == 2
+        assert len(syncs) == 1
+        assert set(logged_ids(str(tmp_path / "j"))) == manager.seen
+
+    def test_crashed_batch_leaves_no_record(self, tmp_path):
+        """A crash mid-batch loses the batch's queued ids, and the
+        crashed system, once collected, writes none of them into the
+        journal a resumed system has opened since."""
+        import gc
+
+        path = str(tmp_path / "j")
+        system, manager = camera_system(tmp_path)
+        system.feed_batch(from_pairs(camera_pages(0, 2)))
+        committed = set(manager.seen)
+        install(KILL_POINT_POST_DELIVER, at=4)
+        with pytest.raises(CrashPoint):
+            system.feed_batch(from_pairs(camera_pages(1, 3)))
+        assert len(manager.seen) == len(committed) + 4
+        assert set(logged_ids(path)) == committed
+
+        resumed = RuntimeJournal(path)
+        resumed.append_delivery("resumed:1")
+        resumed.commit()
+        # Finalising the crashed system closes its log file at some
+        # point; what that file object holds must not reach the disk.
+        manager.journal._wal.close()
+        del system, manager
+        gc.collect()
+        resumed.close()
+        assert set(logged_ids(path)) == committed | {"resumed:1"}
+
+    def test_checkpoint_drops_the_queue_its_snapshot_covers(self, tmp_path):
+        path = str(tmp_path / "j")
+        system, manager = camera_system(tmp_path)
+        system.reporter.delivery_hook(1, "Q", [])  # queued, not committed
+        manager.checkpoint()
+        manager.close()
+        assert logged_ids(path) == []
+        _, seen, _, replayed = RuntimeJournal(path).load()
+        assert seen == manager.seen
+        assert replayed == 0
 
 
 # ---------------------------------------------------------------------------
