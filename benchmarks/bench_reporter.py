@@ -26,7 +26,6 @@ from repro.language.ast import (
     ReportCondition,
 )
 from repro.reporting import EmailSink, Reporter, ReportRegistration
-from repro.xmlstore.nodes import ElementNode
 
 SUBSCRIPTIONS = 200
 NOTIFICATIONS = 5_000
@@ -58,8 +57,7 @@ def _flood(reporter, count):
     element_count = 0
     for i in range(count):
         sub_id = (i % SUBSCRIPTIONS) + 1
-        element = ElementNode("Notification", {"n": str(i)})
-        reporter.deliver(sub_id, "Q", [element])
+        reporter.deliver(sub_id, "Q", [f'<Notification n="{i}"/>'])
         element_count += 1
     return element_count
 

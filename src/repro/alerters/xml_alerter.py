@@ -238,6 +238,7 @@ class XMLAlerter(Alerter):
             return
         subtree_words: Optional[Set[str]] = None
         direct_words: Optional[Set[str]] = None
+        text = ""  # the element serialized, once
         for word, strict, code in entries:
             if word is None:
                 matched = True
@@ -253,7 +254,8 @@ class XMLAlerter(Alerter):
                 codes.add(code)
                 payload = data.setdefault(code, [])
                 if len(payload) < MAX_PAYLOAD_ELEMENTS:
-                    payload.append(serialize(element))
+                    text = text or serialize(element)
+                    payload.append(text)
 
 
 def _direct_words(element: ElementNode) -> Set[str]:

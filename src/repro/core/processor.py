@@ -42,8 +42,8 @@ class Alert:
     ``event_codes`` must be sorted ascending without duplicates — the URL
     alerter "must produce a sorted sequence since the Monitoring Query
     Processor takes advantage of the ordering" (Section 6.2).
-    ``data`` maps atomic-event codes to the extra information the select
-    clause requested (XML fragments, URLs ...), forwarded transparently.
+    ``data`` maps atomic-event codes to what the select clause requested,
+    forwarded transparently: the serialized text of each matched element.
     """
 
     document_url: str

@@ -100,10 +100,6 @@ class SelectSpec:
     template: Optional[str] = None
     items: Tuple[str, ...] = ()
 
-    @property
-    def is_default(self) -> bool:
-        return self.template is None and not self.items
-
 
 @dataclass(frozen=True)
 class MonitoringQuery:

@@ -64,6 +64,7 @@ from ..subscription.manager import SubscriptionManager
 from ..triggers.answers import QueryAnswerStore
 from ..triggers.engine import TriggerEngine
 from ..xmlstore.nodes import Document
+from ..xmlstore.serializer import serialize
 from .stages import (
     BATCH_SIZE_BUCKETS,
     DEFAULT_BATCH_SIZE,
@@ -568,8 +569,9 @@ class SubscriptionSystem:
     def _deliver_continuous(
         self, subscription_id: int, query_name: str, elements
     ) -> None:
+        texts = [serialize(element) for element in elements]
         try:
-            self.reporter.deliver(subscription_id, query_name, elements)
+            self.reporter.deliver(subscription_id, query_name, texts)
         except ReportingError:
             pass
 

@@ -25,7 +25,7 @@ One manager attaches to one :class:`~repro.pipeline.system.SubscriptionSystem`
   ``recovery.deduped`` instead of journaling them twice.
 
 Delivery ids are content-addressed: the SHA-1 of
-``(subscription_id, query_name, serialized elements, clock.now())``
+``(subscription_id, query_name, notification texts, clock.now())``
 plus a per-digest occurrence counter (``<digest>:<n>``), so identical
 payloads delivered repeatedly stay distinct while a *replayed* delivery
 of the same content at the same simulated instant maps onto the same id.
@@ -54,7 +54,6 @@ from ..observability.names import (
     COUNTER_RECOVERY_DEDUPED,
     COUNTER_RECOVERY_REPLAYED,
 )
-from ..xmlstore.serializer import serialize
 from .journal import RuntimeJournal
 from .state import capture_runtime, restore_runtime
 
@@ -122,19 +121,14 @@ class RecoveryManager:
         self,
         subscription_id: int,
         query_name: Optional[str],
-        elements: List[Any],
+        texts: List[str],
     ) -> str:
         now = self.system.clock.now()
         if now != self.occurrences_at:
             self.occurrences = {}
             self.occurrences_at = now
         payload = json.dumps(
-            [
-                subscription_id,
-                query_name,
-                [serialize(element) for element in elements],
-                now,
-            ],
+            [subscription_id, query_name, texts, now],
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -147,10 +141,10 @@ class RecoveryManager:
         self,
         subscription_id: int,
         query_name: Optional[str],
-        elements: List[Any],
+        texts: List[str],
     ) -> None:
         maybe_kill(KILL_POINT_PRE_DELIVER)
-        delivery_id = self._delivery_id(subscription_id, query_name, elements)
+        delivery_id = self._delivery_id(subscription_id, query_name, texts)
         if delivery_id in self.seen:
             # A resumed run regenerating the post-checkpoint window: the
             # journal already holds this delivery, so only the in-memory

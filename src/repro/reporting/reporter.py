@@ -30,7 +30,7 @@ from ..observability.names import (
 )
 from ..observability.tracing import stage_histogram
 from ..language.frequencies import period_seconds
-from ..xmlstore.nodes import Document, ElementNode
+from ..xmlstore.nodes import Document
 from ..xmlstore.parser import parse
 from ..xmlstore.serializer import serialize
 from .archive import ReportArchive
@@ -60,16 +60,14 @@ class ReportRegistration:
 class _SubscriptionBuffer:
     registration: ReportRegistration
     state: BufferState
-    notifications: List[ElementNode] = field(default_factory=list)
+    notifications: List[str] = field(default_factory=list)  # serialized
     suppressed: int = 0  # dropped past the atmost count
     last_delivery_at: Optional[float] = None
     pending_rate_limited: bool = False
 
     def state_dict(self) -> Dict:
         return {
-            "notifications": [
-                serialize(element) for element in self.notifications
-            ],
+            "notifications": list(self.notifications),
             "suppressed": self.suppressed,
             "last_delivery_at": self.last_delivery_at,
             "pending_rate_limited": self.pending_rate_limited,
@@ -82,9 +80,7 @@ class _SubscriptionBuffer:
         }
 
     def restore_state(self, state: Dict) -> None:
-        self.notifications = [
-            parse(xml).root for xml in state["notifications"]
-        ]
+        self.notifications = list(state["notifications"])
         self.suppressed = int(state["suppressed"])
         self.last_delivery_at = state["last_delivery_at"]
         self.pending_rate_limited = bool(state["pending_rate_limited"])
@@ -132,7 +128,7 @@ class Reporter:
         #: Crash recovery taps deliveries here (``repro.recovery``); the
         #: hook fires for every non-empty delivery, before buffering.
         self.delivery_hook: Optional[
-            Callable[[int, Optional[str], List[ElementNode]], None]
+            Callable[[int, Optional[str], List[str]], None]
         ] = None
 
     # -- registration ---------------------------------------------------------
@@ -161,28 +157,28 @@ class Reporter:
         self,
         subscription_id: int,
         query_name: Optional[str],
-        elements: List[ElementNode],
+        texts: List[str],
     ) -> None:
-        """Buffer a batch of notification elements for one subscription."""
+        """Buffer a batch of notification texts for one subscription."""
         buffer = self._buffers.get(subscription_id)
         if buffer is None:
             raise ReportingError(
                 f"no report buffer for subscription {subscription_id}"
             )
-        if not elements:
+        if not texts:
             return
         if self.delivery_hook is not None:
-            self.delivery_hook(subscription_id, query_name, elements)
+            self.delivery_hook(subscription_id, query_name, texts)
         now = self.clock.now()
         limit = buffer.registration.atmost_count
-        accepted = elements
+        accepted = texts
         if limit is not None:
             room = limit - len(buffer.notifications)
             if room <= 0:
                 accepted = []
-            elif len(elements) > room:
-                accepted = elements[:room]
-        dropped = len(elements) - len(accepted)
+            elif len(texts) > room:
+                accepted = texts[:room]
+        dropped = len(texts) - len(accepted)
         if dropped:
             buffer.suppressed += dropped
             self.stats.notifications_suppressed += dropped
@@ -238,18 +234,15 @@ class Reporter:
         self, buffer: _SubscriptionBuffer, now: float
     ) -> None:
         registration = buffer.registration
-        root = ElementNode(registration.report_name)
-        for element in buffer.notifications:
-            root.append(element)
-        report_document = Document(root)
+        name = registration.report_name
+        body = f"<{name}>{''.join(buffer.notifications)}</{name}>"
         if (
             registration.report_query is not None
             and self.report_query_runner is not None
         ):
-            report_document = self.report_query_runner(
-                registration.report_query, report_document
+            body = serialize(
+                self.report_query_runner(registration.report_query, parse(body))
             )
-        body = serialize(report_document)
 
         for recipient in registration.recipients:
             self.email_sink.send(

@@ -19,6 +19,7 @@ Reporter(s) for reports" (Section 3).  This module is that wiring:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -35,7 +36,8 @@ from ..language.conditions import condition_event_key
 from ..language.frequencies import period_seconds
 from ..reporting.reporter import Reporter, ReportRegistration
 from ..triggers.engine import TriggerEngine
-from .rendering import NotificationBinding, item_event_codes
+from .rendering import NotificationBinding, Template, compile_template
+from .rendering import item_event_codes
 
 #: Default report section when a subscription omits one.
 DEFAULT_REPORT = ReportSpec(
@@ -80,6 +82,23 @@ class SubscriptionCompiler:
         self.repository = repository
         #: Alerter-side refcounts: atomic code -> registrations using it.
         self._alerted: Dict[int, int] = {}
+        #: select template text -> its compiled form, kept while a binding
+        #: holds it: subscriptions with one template share one.
+        self._templates = weakref.WeakValueDictionary()
+
+    def templates(
+        self, subscription: Subscription
+    ) -> List[Optional[Template]]:
+        """Each monitoring query's compiled select template, or ``None``;
+        raises :class:`~repro.errors.SubscriptionError` for a malformed one."""
+        compiled = []
+        for query in subscription.monitoring:
+            text = query.select.template
+            template = None if text is None else self._templates.get(text)
+            if text is not None and template is None:
+                template = self._templates[text] = compile_template(text)
+            compiled.append(template)
+        return compiled
 
     # -- compile -----------------------------------------------------------------
 
@@ -91,6 +110,7 @@ class SubscriptionCompiler:
         owner_email: Optional[str] = None,
         recipients: Tuple[str, ...] = (),
         privileged: bool = False,
+        templates: Optional[List[Optional[Template]]] = None,
     ) -> CompiledSubscription:
         compiled = CompiledSubscription(
             subscription_id=subscription_id,
@@ -100,8 +120,12 @@ class SubscriptionCompiler:
             recipients=recipients,
             privileged=privileged,
         )
+        if templates is None:  # compiled before any registration
+            templates = self.templates(subscription)
         for index, query in enumerate(subscription.monitoring):
-            self._compile_monitoring(compiled, subscription, index, query)
+            self._compile_monitoring(
+                compiled, subscription, index, query, templates[index]
+            )
         if self.trigger_engine is not None:
             for continuous in subscription.continuous:
                 self.trigger_engine.register(
@@ -136,6 +160,7 @@ class SubscriptionCompiler:
         subscription: Subscription,
         index: int,
         query: MonitoringQuery,
+        template: Optional[Template],
     ) -> None:
         """Register one complex event per disjunct of the where clause.
 
@@ -191,8 +216,12 @@ class SubscriptionCompiler:
             subscription_id=compiled.subscription_id,
             subscription_name=subscription.name,
             query_name=query_name,
-            select=query.select,
-            item_codes=merged_item_codes,
+            template=template,
+            item_codes=tuple(
+                merged_item_codes[item]
+                for item in query.select.items
+                if item in merged_item_codes
+            ),
         )
         for event in disjunct_events:
             compiled.complex_codes.append(event.code)

@@ -96,6 +96,8 @@ class SubscriptionManager:
         self._virtual_subscribers: Dict[
             Tuple[str, Optional[str]], Set[int]
         ] = {}
+        #: stored id -> why :meth:`recover` could not re-register it.
+        self.unrecovered: Dict[int, str] = {}
 
     # -- user management ---------------------------------------------------------
 
@@ -230,6 +232,8 @@ class SubscriptionManager:
             subscription = source
             source_text = unparse(subscription)
         validate_subscription(subscription)
+        # A malformed template must fail before the teardown below.
+        templates = self.compiler.templates(subscription)
         other_id = self._id_by_name.get(subscription.name)
         if other_id is not None and other_id != subscription_id:
             raise SubscriptionError(
@@ -249,6 +253,7 @@ class SubscriptionManager:
             owner_email=old.owner_email,
             recipients=old.recipients,
             privileged=old.privileged,
+            templates=templates,
         )
         compiled.active = was_active
         self._install(compiled)
@@ -340,34 +345,24 @@ class SubscriptionManager:
                 continue
             seen_bindings.add(id(binding))
             if reporter is not None:
-                self._deliver(
-                    reporter, owner_id, binding.query_name,
-                    binding.render(notification),
-                )
-                for target_id in self._virtual_targets(
+                # Texts are immutable: every buffer shares one rendering.
+                texts = binding.render(notification)
+                for target_id in (owner_id, *self._virtual_targets(
                     binding.subscription_name, binding.query_name
-                ):
+                )):
                     target = self._subscriptions.get(target_id)
-                    if target is not None and target.active:
-                        # Render fresh elements per buffer: report assembly
-                        # reparents notification nodes.
-                        self._deliver(
-                            reporter, target_id, binding.query_name,
-                            binding.render(notification),
-                        )
+                    if target is None or not target.active:
+                        continue
+                    try:
+                        reporter.deliver(target_id, binding.query_name, texts)
+                    except ReportingError:
+                        # A subscription without a report buffer (pure
+                        # trigger wiring) drops its notifications.
+                        pass
             if trigger_engine is not None:
                 trigger_engine.notification_received(
                     binding.subscription_name, binding.query_name
                 )
-
-    @staticmethod
-    def _deliver(reporter, subscription_id, query_name, elements) -> None:
-        try:
-            reporter.deliver(subscription_id, query_name, elements)
-        except ReportingError:
-            # A subscription without a report buffer (pure trigger wiring)
-            # simply drops its rendered notifications.
-            pass
 
     def _virtual_targets(
         self, subscription_name: str, query_name: str
@@ -387,7 +382,8 @@ class SubscriptionManager:
         """Re-register every active persisted subscription (crash recovery).
 
         Call on a fresh manager whose database was recovered from its WAL;
-        returns the number of subscriptions restored.
+        returns the number of subscriptions restored.  A row that no longer
+        compiles is skipped and listed in :attr:`unrecovered`.
         """
         restored = 0
         rows = self.database.table("subscriptions").select(order_by="id")
@@ -398,14 +394,19 @@ class SubscriptionManager:
             recipients = tuple(
                 r for r in (row["recipients"] or "").split(",") if r
             )
-            compiled = self.compiler.compile(
-                row["id"],
-                subscription,
-                row["source"],
-                owner_email=row["owner_email"],
-                recipients=recipients,
-                privileged=bool(row["privileged"]),
-            )
+            try:
+                compiled = self.compiler.compile(
+                    row["id"],
+                    subscription,
+                    row["source"],
+                    owner_email=row["owner_email"],
+                    recipients=recipients,
+                    privileged=bool(row["privileged"]),
+                )
+            except SubscriptionError as exc:
+                # Stored before subscribe compiled templates: skip the row.
+                self.unrecovered[row["id"]] = str(exc)
+                continue
             compiled.active = bool(row["active"])
             self._install(compiled)
             restored += 1

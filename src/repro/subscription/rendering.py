@@ -1,15 +1,16 @@
-"""Notification rendering: MQP notifications -> XML elements.
+"""Notification rendering: MQP notifications -> serialized XML elements.
 
 A monitoring query's ``select`` clause decides what a notification carries
-(Section 5.1).  Three cases:
+(Section 5.1).  A notification is the text of one XML element from here to
+the report sinks.  Three cases:
 
 * **template** — ``select <UpdatedPage url=URL/>``: the XML template is
-  instantiated per notification; unquoted attribute values naming a pseudo
-  variable are substituted (``URL`` — the document URL, ``DATE`` — the
-  detection timestamp, ``DOCID`` where known).
+  parsed once, at subscribe time; unquoted attribute values naming a pseudo
+  variable (``URL`` — the document URL, ``DATE`` — the detection
+  timestamp) become slots each notification fills with escaped values.
 * **items** — ``select X`` with ``from self//Member X``: the alerter put the
-  matched elements for X's condition in the alert's data payload; they are
-  parsed back and emitted as the notification content.
+  serialized elements matched for X's condition in the alert's data
+  payload; they are carried unchanged as the notification content.
 * **default** — the paper's implemented behaviour ("notifications simply
   return the URL of the document that triggered the monitoring query and
   basic informations"): ``<Notification query=... url=... date=.../>``.
@@ -19,16 +20,55 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.processor import Notification
 from ..errors import SubscriptionError, XMLSyntaxError
-from ..language.ast import MonitoringQuery, SelectSpec
-from ..xmlstore.nodes import ElementNode
+from ..language.ast import MonitoringQuery
 from ..xmlstore.parser import parse
+from ..xmlstore.serializer import escape_attribute, serialize
 
 #: Unquoted attribute value referencing a variable: ``url=URL``.
 _UNQUOTED_ATTR_RE = re.compile(r"=\s*([A-Za-z_][A-Za-z0-9_]*)")
+#: Brackets slot names: a private-use character survives parse, serialize.
+_SLOT_MARK = "\ue000"
+
+
+#: A compiled ``select`` template: notification -> its text.
+Template = Callable[[Notification], str]
+
+
+def compile_template(template: str) -> Template:
+    """Parse a ``select`` template (other unquoted values stay literals);
+    raises :class:`SubscriptionError` unless it is well-formed XML."""
+
+    def mark(match: "re.Match[str]") -> str:
+        name = match.group(1)
+        if name in ("URL", "DATE"):
+            name = f"{_SLOT_MARK}{name}{_SLOT_MARK}"
+        return f'="{name}"'
+
+    if _SLOT_MARK in template:
+        raise SubscriptionError(f"select template {template!r} uses U+E000")
+    try:
+        root = parse(_UNQUOTED_ATTR_RE.sub(mark, template)).root
+    except XMLSyntaxError as exc:
+        raise SubscriptionError(
+            f"select template {template!r} is not well-formed XML: {exc}"
+        ) from exc
+    # Static text at even indexes, a slot name at odd ones.
+    pieces = serialize(root).split(_SLOT_MARK)
+
+    def fill(notification: Notification) -> str:
+        filled = list(pieces)
+        for index in range(1, len(filled), 2):
+            if filled[index] == "URL":
+                filled[index] = escape_attribute(notification.document_url)
+            else:
+                filled[index] = f"{notification.timestamp:.0f}"
+        return "".join(filled)
+
+    return fill
 
 
 @dataclass
@@ -38,69 +78,25 @@ class NotificationBinding:
     subscription_id: int
     subscription_name: str
     query_name: str
-    select: SelectSpec
-    #: select item -> atomic event code whose payload carries its matches.
-    item_codes: Dict[str, int]
+    #: The ``select`` template compiled, shared by every binding of it.
+    template: Optional[Template]
+    #: In select order, the atomic event codes whose payloads carry the
+    #: select items' matches.
+    item_codes: Tuple[int, ...] = ()
 
-    def render(self, notification: Notification) -> List[ElementNode]:
-        if self.select.template is not None:
-            return [_instantiate_template(self.select.template, notification)]
-        if self.select.items:
-            elements: List[ElementNode] = []
-            for item in self.select.items:
-                code = self.item_codes.get(item)
-                payloads = (
-                    notification.data.get(code, []) if code is not None else []
-                )
-                for payload in payloads:
-                    try:
-                        elements.append(parse(payload).root)
-                    except XMLSyntaxError:
-                        wrapper = ElementNode("value")
-                        wrapper.append_text(str(payload))
-                        elements.append(wrapper)
-            if elements:
-                return elements
-        return [_default_notification(self.query_name, notification)]
-
-
-def _default_notification(
-    query_name: str, notification: Notification
-) -> ElementNode:
-    return ElementNode(
-        "Notification",
-        {
-            "query": query_name,
-            "url": notification.document_url,
-            "date": f"{notification.timestamp:.0f}",
-        },
-    )
-
-
-def _instantiate_template(
-    template: str, notification: Notification
-) -> ElementNode:
-    values = {
-        "URL": notification.document_url,
-        "DATE": f"{notification.timestamp:.0f}",
-    }
-
-    def substitute(match: "re.Match[str]") -> str:
-        name = match.group(1)
-        value = values.get(name)
-        if value is None:
-            # Not a pseudo variable: keep it as a literal (quoted) token so
-            # the XML parser accepts the template.
-            value = name
-        return f'="{value}"'
-
-    quoted = _UNQUOTED_ATTR_RE.sub(substitute, template)
-    try:
-        return parse(quoted).root
-    except XMLSyntaxError as exc:
-        raise SubscriptionError(
-            f"cannot instantiate select template {template!r}: {exc}"
-        ) from exc
+    def render(self, notification: Notification) -> List[str]:
+        if self.template is not None:
+            return [self.template(notification)]
+        texts: List[str] = []
+        for code in self.item_codes:
+            texts.extend(notification.data.get(code, ()))
+        if texts:
+            return texts
+        return [
+            f'<Notification query="{escape_attribute(self.query_name)}"'
+            f' url="{escape_attribute(notification.document_url)}"'
+            f' date="{notification.timestamp:.0f}"/>'
+        ]
 
 
 def item_event_codes(

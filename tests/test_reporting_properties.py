@@ -20,7 +20,6 @@ from repro.language.ast import (
 )
 from repro.reporting import EmailSink, Reporter, ReportRegistration
 from repro.xmlstore import parse
-from repro.xmlstore.nodes import ElementNode
 
 conditions = st.sampled_from(
     [
@@ -61,7 +60,7 @@ def run_workload(when, atmost_count, step_list):
             batch = []
             for _ in range(step[1]):
                 sequence += 1
-                batch.append(ElementNode("N", {"seq": str(sequence)}))
+                batch.append(f'<N seq="{sequence}"/>')
             reporter.deliver(1, "Q", batch)
         else:
             clock.advance(step[1] * 3600.0)

@@ -9,12 +9,12 @@ from repro.language.ast import (
     ReportCondition,
 )
 from repro.reporting import EmailSink, Reporter, ReportRegistration, WebPublisher
+from repro.xmlstore import parse, serialize
 from repro.xmlstore.nodes import ElementNode
 
 
 def notification(text="n"):
-    element = ElementNode("Notification", {"data": text})
-    return element
+    return serialize(ElementNode("Notification", {"data": text}))
 
 
 def immediate_registration(sub_id=1, **kwargs):
@@ -181,12 +181,34 @@ class TestDelivery:
         body = publisher.fetch(1)
         assert body.startswith("<Report>")
         assert 'data="payload"' in body
+        (element,) = parse(body).root.children
+        assert element.tag == "Notification"
+        assert element.attributes == {"data": "payload"}
+
+    def test_report_body_joins_texts(self, clock):
+        reporter = Reporter(clock=clock)
+        reporter.register(
+            ReportRegistration(
+                subscription_id=1,
+                when=ReportCondition(terms=(CountCondition(threshold=2),)),
+                report_name="Digest",
+            )
+        )
+        reporter.deliver(1, "Q", [notification("a &<")])
+        reporter.deliver(1, "Q", [notification("b")])
+        assert reporter.publisher.fetch(1) == (
+            '<Digest><Notification data="a &amp;&lt;"/>'
+            '<Notification data="b"/></Digest>'
+        )
 
     def test_report_query_applied(self, clock):
+        seen = []
+
         def runner(query_text, document):
             # A fake "Xyleme Reporter" post-processor: wrap and tag.
             from repro.xmlstore.nodes import Document
 
+            seen.append(document)
             root = ElementNode("Processed", {"query": query_text})
             return Document(root)
 
@@ -197,6 +219,11 @@ class TestDelivery:
         reporter.deliver(1, "Q", [notification()])
         body = reporter.publisher.fetch(1)
         assert body.startswith("<Processed")
+        # The query runs over the report parsed back into a tree.
+        (document,) = seen
+        assert document.root.tag == "Report"
+        (element,) = document.root.children
+        assert element.attributes == {"data": "n"}
 
     def test_archive_clause(self, clock):
         reporter = Reporter(clock=clock)

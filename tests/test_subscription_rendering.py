@@ -1,29 +1,46 @@
 import pytest
 
+from repro.clock import SimulatedClock
 from repro.core.processor import Notification
-from repro.language.ast import SelectSpec
+from repro.errors import SubscriptionError
+from repro.language.ast import CountCondition, ReportCondition, SelectSpec
 from repro.language.parser import parse_subscription
+from repro.reporting import Reporter, ReportRegistration
 from repro.subscription.rendering import (
     NotificationBinding,
+    compile_template,
     item_event_codes,
 )
-from repro.xmlstore import serialize
+from repro.xmlstore import parse
 
 
 def binding(select, item_codes=None):
+    """The binding the compiler makes for ``select``, given each item's
+    atomic event code."""
+    template = None
+    if select.template is not None:
+        template = compile_template(select.template)
+    item_codes = item_codes or {}
     return NotificationBinding(
         subscription_id=1,
         subscription_name="S",
         query_name="Q",
-        select=select,
-        item_codes=item_codes or {},
+        template=template,
+        item_codes=tuple(
+            item_codes[item] for item in select.items if item in item_codes
+        ),
     )
 
 
-def notification(data=None):
+def render_elements(b, note):
+    """Render, then parse each text back into an element."""
+    return [parse(text).root for text in b.render(note)]
+
+
+def notification(data=None, url="http://inria.fr/Xy/index.html"):
     return Notification(
         complex_code=7,
-        document_url="http://inria.fr/Xy/index.html",
+        document_url=url,
         timestamp=990_000_000.0,
         data=data or {},
     )
@@ -32,74 +49,118 @@ def notification(data=None):
 class TestTemplateRendering:
     def test_url_pseudo_variable_substituted(self):
         spec = SelectSpec(template="<UpdatedPage url=URL/>")
-        (element,) = binding(spec).render(notification())
+        (element,) = render_elements(binding(spec), notification())
         assert element.tag == "UpdatedPage"
         assert element.attributes["url"] == "http://inria.fr/Xy/index.html"
 
     def test_date_pseudo_variable(self):
         spec = SelectSpec(template="<Seen at=DATE/>")
-        (element,) = binding(spec).render(notification())
+        (element,) = render_elements(binding(spec), notification())
         assert element.attributes["at"] == "990000000"
 
     def test_quoted_attributes_left_alone(self):
         spec = SelectSpec(template='<Tag fixed="constant" url=URL/>')
-        (element,) = binding(spec).render(notification())
+        (element,) = render_elements(binding(spec), notification())
         assert element.attributes["fixed"] == "constant"
 
     def test_unknown_variable_becomes_literal(self):
         spec = SelectSpec(template="<Tag x=NOPE/>")
-        (element,) = binding(spec).render(notification())
+        (element,) = render_elements(binding(spec), notification())
         assert element.attributes["x"] == "NOPE"
 
     def test_nested_template(self):
         spec = SelectSpec(template="<Outer><Inner url=URL/></Outer>")
-        (element,) = binding(spec).render(notification())
+        (element,) = render_elements(binding(spec), notification())
         assert element.first("Inner").attributes["url"].startswith("http://")
 
-    def test_fresh_elements_per_render(self):
+    def test_rendering_shared_between_buffers(self):
+        # One rendering goes to every buffer: reporting one buffer must
+        # leave the other's copy, and its report, intact.
+        clock = SimulatedClock(1_000_000.0)
+        reporter = Reporter(clock=clock)
+        for sub_id, threshold in ((1, 1), (2, 2)):
+            reporter.register(
+                ReportRegistration(
+                    subscription_id=sub_id,
+                    when=ReportCondition(
+                        terms=(CountCondition(threshold=threshold),)
+                    ),
+                )
+            )
+        texts = binding(SelectSpec(template="<UpdatedPage url=URL/>")).render(
+            notification()
+        )
+        reporter.deliver(1, "Q", texts)
+        reporter.deliver(2, "Q", texts)
+        assert reporter.pending_count(1) == 0
+        assert reporter.pending_count(2) == 1
+        reporter.deliver(2, "Q", texts)
+        first = parse(reporter.publisher.fetch(1)).root
+        second = parse(reporter.publisher.fetch(2)).root
+        assert [e.attributes for e in first.children] == [
+            {"url": "http://inria.fr/Xy/index.html"}
+        ]
+        assert [e.attributes for e in second.children] == [
+            {"url": "http://inria.fr/Xy/index.html"}
+        ] * 2
+
+    def test_special_characters_escaped(self):
+        url = 'http://www.x.example/p?a=1&b=2&c="<d>"\t'
         spec = SelectSpec(template="<UpdatedPage url=URL/>")
-        b = binding(spec)
-        first = b.render(notification())[0]
-        second = b.render(notification())[0]
-        assert first is not second
+        (text,) = binding(spec).render(notification(url=url))
+        assert parse(text).root.attributes["url"] == url
+
+    def test_malformed_template_rejected(self):
+        with pytest.raises(SubscriptionError):
+            compile_template("<Changed url=URL></Other>")
+
+    def test_template_filled_in_document_order(self):
+        fill = compile_template("<A url=URL><B at=DATE/></A>")
+        assert fill(notification(url="http://u/?a&b")) == (
+            '<A url="http://u/?a&amp;b"><B at="990000000"/></A>'
+        )
 
 
 class TestItemRendering:
     def test_payload_elements_parsed_back(self):
         spec = SelectSpec(items=("X",))
         data = {42: ["<Member><name>preda</name></Member>"]}
-        elements = binding(spec, {"X": 42}).render(notification(data))
+        elements = render_elements(binding(spec, {"X": 42}), notification(data))
         assert len(elements) == 1
         assert elements[0].first("name").text_content() == "preda"
 
     def test_multiple_payload_elements(self):
         spec = SelectSpec(items=("X",))
         data = {42: ["<m>1</m>", "<m>2</m>"]}
-        elements = binding(spec, {"X": 42}).render(notification(data))
+        elements = render_elements(binding(spec, {"X": 42}), notification(data))
         assert [e.text_content() for e in elements] == ["1", "2"]
 
     def test_missing_payload_falls_back_to_default(self):
         spec = SelectSpec(items=("X",))
-        elements = binding(spec, {"X": 42}).render(notification({}))
+        elements = render_elements(binding(spec, {"X": 42}), notification({}))
         assert elements[0].tag == "Notification"
         assert elements[0].attributes["query"] == "Q"
 
-    def test_unparsable_payload_wrapped(self):
+    def test_payload_carried_byte_for_byte(self):
         spec = SelectSpec(items=("X",))
-        data = {42: ["not xml at all"]}
-        (element,) = binding(spec, {"X": 42}).render(notification(data))
-        assert element.tag == "value"
-        assert element.text_content() == "not xml at all"
+        payload = '<Member a="x &amp; &quot;y&quot;">b &lt; c</Member>'
+        (text,) = binding(spec, {"X": 42}).render(notification({42: [payload]}))
+        assert text is payload
 
 
 class TestDefaultRendering:
     def test_default_notification_shape(self):
-        (element,) = binding(SelectSpec()).render(notification())
+        (element,) = render_elements(binding(SelectSpec()), notification())
         assert element.tag == "Notification"
         assert element.attributes["url"] == "http://inria.fr/Xy/index.html"
         assert element.attributes["query"] == "Q"
-        assert "date" in element.attributes
-        assert serialize(element).startswith("<Notification")
+        assert element.attributes["date"] == "990000000"
+
+    def test_default_notification_text(self):
+        (text,) = binding(SelectSpec()).render(notification(url="http://u/?a&b"))
+        assert text == (
+            '<Notification query="Q" url="http://u/?a&amp;b" date="990000000"/>'
+        )
 
 
 class TestItemEventCodes:
