@@ -595,6 +595,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     print(f"  deliveries     : {len(manager.seen)} journaled")
     print(f"  replayed       : {manager.replayed}")
     print(f"  deduplicated   : {manager.deduped}")
+    if manager.discarded:
+        print(f"  discarded      : {manager.discarded} (unsubscribed)")
     if manager.deduped != manager.replayed:
         print(
             f"resume: FAILED (replayed {manager.replayed} !="

@@ -11,8 +11,9 @@ Format: one JSON object per line.  Record kinds:
 ``append`` fsyncs every ``sync_every`` records; ``append_many`` writes a
 group of records and fsyncs once (the runtime journal's per-batch
 commit).  A checkpoint writes a full snapshot (``<path>.snapshot``)
-atomically (temp file + rename) and truncates the log.  Recovery loads the snapshot if
-present, then replays the remaining log records.
+atomically (one-shot encode, temp file + rename) and truncates the log.
+Recovery loads the snapshot if present, then replays the remaining log
+records.
 """
 
 from __future__ import annotations
@@ -157,28 +158,36 @@ def snapshot_path(wal_path: str) -> str:
     return wal_path + ".snapshot"
 
 
-def write_json_atomic(path: str, payload: Any, **dump_options: Any) -> None:
-    """Write ``payload`` as JSON to ``path`` atomically.
+def write_json_atomic(path: str, payload: Any, **dump_options: Any) -> int:
+    """Write ``payload`` as JSON to ``path`` atomically; returns the
+    file's size in bytes.
 
-    The JSON goes to a sibling temp file, is fsynced and ``os.replace``d
-    over ``path``, so a crash mid-write leaves either the old file or the
-    new one — never a truncated hybrid, never a stray temp file.
+    The JSON is encoded in one shot (``json.dumps``, which uses the C
+    encoder where ``json.dump`` streams through the pure-Python one; the
+    bytes are the same) and written with one call to a sibling temp file,
+    which is fsynced and ``os.replace``d over ``path``.  A crash mid-write
+    leaves either the old file or the new one — never a truncated hybrid,
+    never a stray temp file.
     """
+    text = json.dumps(payload, **dump_options)
     temp = path + ".tmp"
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, **dump_options)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
+            size = os.fstat(handle.fileno()).st_size
         os.replace(temp, path)
     finally:
         if os.path.exists(temp):
             os.remove(temp)
+    return size
 
 
-def write_snapshot(wal_path: str, state: Dict[str, Any]) -> None:
-    """Atomically write the snapshot next to the WAL."""
-    write_json_atomic(snapshot_path(wal_path), state)
+def write_snapshot(wal_path: str, state: Dict[str, Any]) -> int:
+    """Atomically write the snapshot next to the WAL; returns its size
+    in bytes."""
+    return write_json_atomic(snapshot_path(wal_path), state)
 
 
 def read_snapshot(wal_path: str) -> Optional[Dict[str, Any]]:

@@ -69,6 +69,7 @@ COUNTER_DLQ_QUARANTINED = "dlq.quarantined"  # label: source
 COUNTER_RECOVERY_CHECKPOINTS = "recovery.checkpoints"
 COUNTER_RECOVERY_REPLAYED = "recovery.replayed"
 COUNTER_RECOVERY_DEDUPED = "recovery.deduped"
+COUNTER_RECOVERY_DISCARDED = "recovery.discarded"
 
 COUNTER_NAMES: Tuple[str, ...] = (
     COUNTER_REPOSITORY_OUTCOMES,
@@ -87,6 +88,7 @@ COUNTER_NAMES: Tuple[str, ...] = (
     COUNTER_RECOVERY_CHECKPOINTS,
     COUNTER_RECOVERY_REPLAYED,
     COUNTER_RECOVERY_DEDUPED,
+    COUNTER_RECOVERY_DISCARDED,
 )
 
 # -- gauges ------------------------------------------------------------------
@@ -94,11 +96,15 @@ COUNTER_NAMES: Tuple[str, ...] = (
 GAUGE_SUBSCRIPTIONS = "pipeline.subscriptions"
 GAUGE_EXECUTOR_QUEUE_DEPTH = "executor.queue_depth"
 GAUGE_DLQ_DEPTH = "dlq.depth"
+#: Bytes of the last checkpoint snapshot (lazily interned, as the
+#: recovery counters are).
+GAUGE_RECOVERY_SNAPSHOT_BYTES = "recovery.snapshot_bytes"
 
 GAUGE_NAMES: Tuple[str, ...] = (
     GAUGE_SUBSCRIPTIONS,
     GAUGE_EXECUTOR_QUEUE_DEPTH,
     GAUGE_DLQ_DEPTH,
+    GAUGE_RECOVERY_SNAPSHOT_BYTES,
 )
 
 # -- free-standing histograms (not latency-suffixed stage histograms) --------

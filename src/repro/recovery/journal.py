@@ -5,7 +5,10 @@ Layout on disk (same machinery as the MiniSQL store,
 
 * ``<path>`` — JSON-lines log, one record per journaled delivery::
 
-      {"op": "deliver", "id": "<sha1-digest>:<occurrence>"}
+      {"op": "deliver", "id": "<sha1-digest>:<occurrence>", "sub": <id>}
+
+  (``sub`` is the subscription the delivery went to, ``null`` when the
+  caller gave none; records written before it was added lack it);
 
 * ``<path>.snapshot`` — the last checkpoint, written atomically
   (temp file + ``os.replace``)::
@@ -39,13 +42,22 @@ the last checkpoint.  A resumed run regenerates exactly that window (the
 runtime rewinds to the checkpoint), recomputes the same ids, and dedups
 them against ``seen`` — so ``recovery.deduped == recovery.replayed``
 once the resumed run has caught up, and the journal never holds a
-duplicate id.
+duplicate id.  The one part of the window that is *not* regenerated is
+the deliveries of a subscription removed after the checkpoint: ``load``
+counts those in :attr:`RuntimeJournal.loaded_discarded` instead (they
+stay in ``seen``).
+
+What a snapshot costs: each stored document's entry is the text its
+current version was parsed from plus its XIDs, cached until the document
+stores a new version, so only the metadata and the documents changed
+since the last checkpoint are encoded again; the whole snapshot is then
+encoded in one ``json.dumps`` call and written with one write.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import RecoveryError
 from ..faults.killpoints import KILL_POINT_MID_CHECKPOINT, maybe_kill
@@ -65,26 +77,32 @@ class RuntimeJournal:
     def __init__(self, path: str):
         self.path = path
         self._wal = WriteAheadLog(path)
-        #: Delivered ids not yet committed to the log.
-        self._pending: List[str] = []
+        #: Delivered (id, subscription id) pairs not yet committed.
+        self._pending: List[Tuple[str, Optional[int]]] = []
         #: Cumulative checkpoint count read back by :meth:`load` (so a
         #: resumed run keeps numbering checkpoints where it left off).
         self.loaded_checkpoints = 0
         #: The instant the loaded ``occurrences`` belong to.
         self.loaded_occurrences_at: Optional[float] = None
+        #: Log ids beyond the snapshot that :meth:`load` left out of
+        #: ``replayed`` because their subscription was removed.
+        self.loaded_discarded = 0
 
     # -- writing -----------------------------------------------------------
 
-    def append_delivery(self, delivery_id: str) -> None:
-        """Queue one delivered-notification id for the next :meth:`commit`."""
-        self._pending.append(delivery_id)
+    def append_delivery(
+        self, delivery_id: str, subscription_id: Optional[int] = None
+    ) -> None:
+        """Queue one delivered-notification id (and the subscription it
+        went to) for the next :meth:`commit`."""
+        self._pending.append((delivery_id, subscription_id))
 
     def commit(self) -> None:
         """Make every queued id durable: one write and one fsync."""
         if self._pending:
             self._wal.append_many(
-                {"op": _OP_DELIVER, "id": delivery_id}
-                for delivery_id in self._pending
+                {"op": _OP_DELIVER, "id": delivery_id, "sub": subscription_id}
+                for delivery_id, subscription_id in self._pending
             )
             self._pending = []
 
@@ -95,13 +113,14 @@ class RuntimeJournal:
         occurrences: Dict[str, int],
         checkpoints: int,
         occurrences_at: Optional[float] = None,
-    ) -> None:
-        """Write a full runtime snapshot, then truncate the log.
+    ) -> int:
+        """Write a full runtime snapshot, then truncate the log; returns
+        the snapshot's size in bytes.
 
         ``occurrences_at`` is the instant the ``occurrences`` counters
         belong to (``None`` before any delivery was counted).
         """
-        write_snapshot(
+        size = write_snapshot(
             self.path,
             {
                 "state": state,
@@ -114,6 +133,7 @@ class RuntimeJournal:
         self._pending = []
         maybe_kill(KILL_POINT_MID_CHECKPOINT)
         self._wal.truncate()
+        return size
 
     def close(self) -> None:
         self.commit()
@@ -125,7 +145,7 @@ class RuntimeJournal:
         return os.path.exists(snapshot_path(self.path))
 
     def load(
-        self,
+        self, removed: Optional[Callable[[int], bool]] = None
     ) -> Tuple[Optional[Dict[str, Any]], Set[str], Dict[str, int], int]:
         """Read the snapshot and replay the log.
 
@@ -136,7 +156,10 @@ class RuntimeJournal:
         (log replay must not advance it — the resumed run regenerates
         the post-checkpoint deliveries and must recompute the same
         occurrence numbers), and ``replayed`` counts the log ids absent
-        from the snapshot.  The instant those occurrences belong to is
+        from the snapshot.  A log id whose subscription ``removed``
+        reports as removed is added to ``seen`` but counted in
+        :attr:`loaded_discarded` instead of ``replayed``: the resumed run
+        cannot regenerate it.  The instant the occurrences belong to is
         left in :attr:`loaded_occurrences_at`; a snapshot that does not
         record it is rejected.
         """
@@ -160,13 +183,23 @@ class RuntimeJournal:
                 for digest, count in snapshot.get("occurrences", {}).items()
             }
         replayed = 0
+        self.loaded_discarded = 0
         for record in self._wal.records():
             if record.get("op") != _OP_DELIVER:
                 raise RecoveryError(
                     f"unknown journal record {record!r} in {self.path}"
                 )
             delivery_id = record["id"]
-            if delivery_id not in seen:
-                seen.add(delivery_id)
+            if delivery_id in seen:
+                continue
+            seen.add(delivery_id)
+            subscription_id = record.get("sub")
+            if (
+                removed is not None
+                and subscription_id is not None
+                and removed(subscription_id)
+            ):
+                self.loaded_discarded += 1
+            else:
                 replayed += 1
         return state, seen, occurrences, replayed

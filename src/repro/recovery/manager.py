@@ -22,7 +22,10 @@ One manager attaches to one :class:`~repro.pipeline.system.SubscriptionSystem`
   journal; the resumed run rewinds to the checkpoint and regenerates the
   post-checkpoint window, and the manager recognises the recomputed
   delivery ids in its ``seen`` set, counting them under
-  ``recovery.deduped`` instead of journaling them twice.
+  ``recovery.deduped`` instead of journaling them twice.  Journaled
+  deliveries of a subscription removed after the checkpoint cannot be
+  regenerated; they count under ``recovery.discarded``, not
+  ``recovery.replayed``, so ``deduped == replayed`` still holds.
 
 Delivery ids are content-addressed: the SHA-1 of
 ``(subscription_id, query_name, notification texts, clock.now())``
@@ -52,7 +55,9 @@ from ..faults.killpoints import (
 from ..observability.names import (
     COUNTER_RECOVERY_CHECKPOINTS,
     COUNTER_RECOVERY_DEDUPED,
+    COUNTER_RECOVERY_DISCARDED,
     COUNTER_RECOVERY_REPLAYED,
+    GAUGE_RECOVERY_SNAPSHOT_BYTES,
 )
 from .journal import RuntimeJournal
 from .state import capture_runtime, restore_runtime
@@ -90,6 +95,9 @@ class RecoveryManager:
         self.checkpoints = 0
         self.deduped = 0
         self.replayed = 0
+        #: Log ids past the checkpoint whose subscription was removed
+        #: before the crash: in ``seen``, but never regenerated.
+        self.discarded = 0
         self._batches_since_checkpoint = 0
 
     # -- wiring ------------------------------------------------------------
@@ -113,6 +121,12 @@ class RecoveryManager:
         )
         self._replayed_counter = self.system.metrics.counter(
             COUNTER_RECOVERY_REPLAYED
+        )
+        self._discarded_counter = self.system.metrics.counter(
+            COUNTER_RECOVERY_DISCARDED
+        )
+        self._snapshot_bytes = self.system.metrics.gauge(
+            GAUGE_RECOVERY_SNAPSHOT_BYTES
         )
 
     # -- delivery journal --------------------------------------------------
@@ -152,7 +166,7 @@ class RecoveryManager:
             self.deduped += 1
             self._deduped_counter.inc()
         else:
-            self.journal.append_delivery(delivery_id)
+            self.journal.append_delivery(delivery_id, subscription_id)
             self.seen.add(delivery_id)
         maybe_kill(KILL_POINT_POST_DELIVER)
 
@@ -176,13 +190,14 @@ class RecoveryManager:
         )
         if self.metadata is not None:
             state["metadata"] = self.metadata
-        self.journal.checkpoint(
+        size = self.journal.checkpoint(
             state,
             self.seen,
             self.occurrences,
             self.checkpoints + 1,
             self.occurrences_at,
         )
+        self._snapshot_bytes.set(size)
         self.checkpoints += 1
         self._checkpoint_counter.inc()
         self._batches_since_checkpoint = 0
@@ -202,7 +217,9 @@ class RecoveryManager:
                 f"no checkpoint found at {self.journal.path}.snapshot —"
                 " nothing to recover"
             )
-        state, seen, occurrences, replayed = self.journal.load()
+        state, seen, occurrences, replayed = self.journal.load(
+            removed=self.system.manager.was_removed
+        )
         if state is None:
             raise RecoveryError(
                 f"checkpoint at {self.journal.path} holds no runtime state"
@@ -219,7 +236,10 @@ class RecoveryManager:
         self.occurrences = occurrences
         self.occurrences_at = self.journal.loaded_occurrences_at
         self.replayed = replayed
+        self.discarded = self.journal.loaded_discarded
         self.checkpoints = self.journal.loaded_checkpoints
         self.attach()
         if replayed:
             self._replayed_counter.inc(replayed)
+        if self.discarded:
+            self._discarded_counter.inc(self.discarded)

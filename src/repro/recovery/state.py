@@ -11,11 +11,14 @@ Each component defines its own section through a ``state_dict()`` /
 ``restore_state(dict)`` pair next to the state it owns:
 
 * ``Reporter`` — per-subscription buffers (pending notification
-  elements, suppression/rate-limit state, ``when``-condition counters);
+  texts, suppression/rate-limit state, ``when``-condition counters);
 * ``Repository`` — current document versions with their XIDs (so a
   resumed re-feed diffs as ``DOC_UPDATED`` against the same XIDs rather
   than registering every page as ``DOC_NEW``), the doc-id counter and
-  the DTD id table;
+  the DTD id table.  A version is written as the text it was parsed
+  from, and each document caches its encoded entry until it stores a
+  new version, so a checkpoint re-encodes only the documents changed
+  since the last one (and every document's metadata);
 * ``SimulatedCrawler`` — the crawl cursor and every RNG involved in
   content evolution, delegating to its ``ChangeModel``,
   ``FaultInjector`` and ``CircuitBreaker``\\ s;

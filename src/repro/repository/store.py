@@ -37,7 +37,10 @@ unchanged and the status says so.
 :meth:`Repository.state_dict` / :meth:`Repository.restore_state` carry
 the current versions with their XIDs, the metadata, the doc-id counter
 and the DTD id table; warehouse snapshots (:mod:`.persistence`) and
-crash-recovery checkpoints both use them.
+crash-recovery checkpoints both use them.  A version is carried as the
+text it was parsed from (serialized only when it came from no text), and
+each document keeps its encoded entry until it stores a new version, so a
+checkpoint re-encodes only the documents that changed since the last one.
 """
 
 from __future__ import annotations
@@ -105,18 +108,41 @@ class _StoredDocument:
     #: ``page_signature`` of the raw text last stored (XML only).  None
     #: after a ``Document`` input or a restore, so the next fetch parses.
     raw_signature: Optional[int] = None
+    #: The text ``current`` was parsed from; None when it was not (a
+    #: ``Document`` input, or a DOCTYPE rewritten in place).
+    text: Optional[str] = None
+    #: ``current`` encoded for :meth:`state_dict` (``xml``, ``xids``,
+    #: ``next_xid``), kept until :meth:`set_current` stores a new version.
+    _entry: Optional[Dict] = field(default=None, repr=False)
+
+    def set_current(self, document: Document, text: Optional[str]) -> None:
+        """Make ``document`` (parsed from ``text``, if given) the current
+        version; drops the cached checkpoint entry."""
+        self.current = document
+        self.text = text
+        self._entry = None
 
     def state_dict(self) -> Dict:
         """The metadata and, for XML, the current version with its XIDs
-        (the history chain is not kept)."""
+        (the history chain is not kept).
+
+        The version is written as the text it was parsed from, so
+        restoring parses it back to the same tree and XIDs; only a
+        version that did not come from text is serialized.  Metadata
+        moves on every fetch and is encoded afresh each time.
+        """
         meta = dict(vars(self.meta))
         del meta["filename"]  # derived from the URL
         state: Dict = {"meta": meta}
         if self.current is not None:
-            assert self.xid_space is not None
-            state["xml"] = serialize(self.current)
-            state["xids"] = [node.xid for node in self.current.preorder()]
-            state["next_xid"] = self.xid_space.next_xid
+            if self._entry is None:
+                assert self.xid_space is not None
+                self._entry = {
+                    "xml": self.text or serialize(self.current),
+                    "xids": [node.xid for node in self.current.preorder()],
+                    "next_xid": self.xid_space.next_xid,
+                }
+            state.update(self._entry)
         return state
 
     @classmethod
@@ -133,11 +159,13 @@ class _StoredDocument:
             )
         for node, xid in zip(nodes, state["xids"]):
             node.xid = xid
-        return cls(
+        stored = cls(
             meta=meta,
-            current=document,
+            current=None,
             xid_space=space_for(document, state["next_xid"]),
         )
+        stored.set_current(document, state["xml"])
+        return stored
 
 
 class Repository:
@@ -199,19 +227,23 @@ class Repository:
             raw_signature = page_signature(content)
             if stored is not None and raw_signature == stored.raw_signature:
                 return self._unchanged(stored, now)
-            document = parse(content)
+            document, text = parse(content), content
         else:
-            document = content
+            document, text = content, None
         if stored is None:
-            outcome = self._store_new_xml(url, document, now)
+            outcome = self._store_new_xml(url, document, text, now)
             stored = self._docs[outcome.meta.doc_id]
         else:
-            outcome = self._store_version(stored, document, now)
+            outcome = self._store_version(stored, document, text, now)
         stored.raw_signature = raw_signature
         return outcome
 
     def _store_version(
-        self, stored: _StoredDocument, document: Document, now: float
+        self,
+        stored: _StoredDocument,
+        document: Document,
+        text: Optional[str],
+        now: float,
     ) -> FetchOutcome:
         if stored.meta.kind != XML:
             raise RepositoryError(
@@ -226,7 +258,9 @@ class Repository:
             delta = compute_delta(stored.current, document, stored.xid_space)
         except DiffError:
             # Root element changed: restart the lineage (same doc id).
-            return self._restart_lineage(stored, document, now, new_signature)
+            return self._restart_lineage(
+                stored, document, text, now, new_signature
+            )
         if not delta:
             # Content hash differs only through aspects the diff ignores;
             # treat as unchanged at element level.
@@ -235,7 +269,7 @@ class Repository:
         old_document = stored.current
         stored.history.insert(0, (stored.meta.version, delta.inverted()))
         del stored.history[self.keep_versions - 1 :]
-        stored.current = document
+        stored.set_current(document, text)
         stored.meta.version += 1
         stored.meta.last_updated = now
         stored.meta.signature = new_signature
@@ -262,6 +296,8 @@ class Repository:
         ):
             current.doctype_name = document.doctype_name
             current.dtd_url = document.dtd_url
+            # No stored text parses to the rewritten version any more.
+            stored.set_current(current, None)
             self._record_dtd(stored.meta, current)
             self._reindex(stored, Delta())
         return self._unchanged(stored, now)
@@ -274,7 +310,7 @@ class Repository:
         )
 
     def _store_new_xml(
-        self, url: str, document: Document, now: float
+        self, url: str, document: Document, text: Optional[str], now: float
     ) -> FetchOutcome:
         doc_id = self._next_doc_id
         self._next_doc_id += 1
@@ -291,9 +327,8 @@ class Repository:
         )
         self._record_dtd(meta, document)
         meta.domain = self.classifier.classify(document)
-        stored = _StoredDocument(
-            meta=meta, current=document, xid_space=xid_space
-        )
+        stored = _StoredDocument(meta=meta, current=None, xid_space=xid_space)
+        stored.set_current(document, text)
         self._by_url[url] = doc_id
         self._docs[doc_id] = stored
         self._reindex(stored)
@@ -303,14 +338,15 @@ class Repository:
         self,
         stored: _StoredDocument,
         document: Document,
+        text: Optional[str],
         now: float,
         signature: int,
     ) -> FetchOutcome:
         old_document = stored.current
         xid_space = XidSpace()
         xid_space.assign_fresh(document.root)
-        stored.current = document
         stored.xid_space = xid_space
+        stored.set_current(document, text)
         stored.history.clear()
         stored.meta.version += 1
         stored.meta.last_updated = now

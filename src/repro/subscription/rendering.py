@@ -28,8 +28,19 @@ from ..language.ast import MonitoringQuery
 from ..xmlstore.parser import parse
 from ..xmlstore.serializer import escape_attribute, serialize
 
-#: Unquoted attribute value referencing a variable: ``url=URL``.
-_UNQUOTED_ATTR_RE = re.compile(r"=\s*([A-Za-z_][A-Za-z0-9_]*)")
+#: Markup whose text is left alone (comments, CDATA sections, processing
+#: instructions and declarations), or a start tag, whose unquoted
+#: attribute values (``url=URL``) are quoted.
+_MARKUP_RE = re.compile(
+    r"<!--.*?-->|<!\[CDATA\[.*?\]\]>|<[?!][^>]*>"
+    r"|(<[^\s<>/!?][^\s<>/]*(?:\s+[^\s<>=/]+\s*=\s*"
+    r"""(?:"[^"]*"|'[^']*'|[A-Za-z_][A-Za-z0-9_]*))*\s*/?>)""",
+    re.DOTALL,
+)
+#: Inside a start tag: a quoted value (kept) or an unquoted one.
+_UNQUOTED_ATTR_RE = re.compile(
+    r"""("[^"]*"|'[^']*')|=\s*([A-Za-z_][A-Za-z0-9_]*)"""
+)
 #: Brackets slot names: a private-use character survives parse, serialize.
 _SLOT_MARK = "\ue000"
 
@@ -43,15 +54,23 @@ def compile_template(template: str) -> Template:
     raises :class:`SubscriptionError` unless it is well-formed XML."""
 
     def mark(match: "re.Match[str]") -> str:
-        name = match.group(1)
+        name = match.group(2)
+        if name is None:  # a quoted value
+            return match.group(1)
         if name in ("URL", "DATE"):
             name = f"{_SLOT_MARK}{name}{_SLOT_MARK}"
         return f'="{name}"'
 
+    def quote(match: "re.Match[str]") -> str:
+        tag = match.group(1)
+        if tag is None:  # markup whose text is not attributes
+            return match.group(0)
+        return _UNQUOTED_ATTR_RE.sub(mark, tag)
+
     if _SLOT_MARK in template:
         raise SubscriptionError(f"select template {template!r} uses U+E000")
     try:
-        root = parse(_UNQUOTED_ATTR_RE.sub(mark, template)).root
+        root = parse(_MARKUP_RE.sub(quote, template)).root
     except XMLSyntaxError as exc:
         raise SubscriptionError(
             f"select template {template!r} is not well-formed XML: {exc}"

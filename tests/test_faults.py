@@ -357,7 +357,9 @@ class TestDeadLetterQueue:
     def test_save_is_atomic_under_a_mid_write_crash(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the old file intact — never a
         truncated hybrid, never a stray temp file."""
-        import json as json_module
+        import builtins
+
+        import repro.minisql.wal as wal_module
 
         path = str(tmp_path / "dlq.json")
         queue = DeadLetterQueue(capacity=3)
@@ -367,14 +369,35 @@ class TestDeadLetterQueue:
 
         queue.push(self.entry(2, source=SOURCE_PIPELINE))
 
-        def explode(*args, **kwargs):
-            raise OSError("disk died mid-write")
+        class TornHandle:
+            """Writes the first half of the text, then the disk dies."""
 
-        monkeypatch.setattr(json_module, "dump", explode)
-        with pytest.raises(OSError):
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                torn.append(os.path.getsize(self.handle.name))
+                raise OSError("disk died mid-write")
+
+        torn = []
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            return TornHandle(builtins.open(file, mode, *args, **kwargs))
+
+        monkeypatch.setattr(wal_module, "open", torn_open, raising=False)
+        with pytest.raises(OSError, match="mid-write"):
             queue.save(path)
         monkeypatch.undo()
 
+        assert torn and torn[0] > 0  # part of the new file did hit the disk
         assert open(path, encoding="utf-8").read() == before
         assert not os.path.exists(path + ".tmp")
         loaded = DeadLetterQueue.load(path)

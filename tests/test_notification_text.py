@@ -424,9 +424,9 @@ def run_world(seed, tmp_path, tree_path):
     ids = []
     append = manager.journal.append_delivery
 
-    def record(delivery_id):
+    def record(delivery_id, *rest):
         ids.append(delivery_id)
-        append(delivery_id)
+        append(delivery_id, *rest)
 
     manager.journal.append_delivery = record
     for _ in range(4 * 24):

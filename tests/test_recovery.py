@@ -146,6 +146,23 @@ class TestRuntimeJournal:
         assert reader.loaded_checkpoints == 1
         reader.close()
 
+    def test_removed_subscription_records_are_discarded(self, tmp_path):
+        path = str(tmp_path / "j")
+        journal = RuntimeJournal(path)
+        journal.checkpoint({}, {"a:1"}, {}, checkpoints=1)
+        journal.append_delivery("a:1", 2)  # already in the snapshot
+        journal.append_delivery("b:1", 1)
+        journal.append_delivery("c:1", 2)
+        journal._wal.append({"op": "deliver", "id": "d:1"})  # no "sub"
+        journal.close()
+
+        reader = RuntimeJournal(path)
+        _, seen, _, replayed = reader.load(removed=lambda sub: sub == 2)
+        assert seen == {"a:1", "b:1", "c:1", "d:1"}
+        assert replayed == 2  # b:1 and d:1
+        assert reader.loaded_discarded == 1  # c:1
+        reader.close()
+
     def test_checkpoint_truncates_the_log(self, tmp_path):
         path = str(tmp_path / "j")
         journal = RuntimeJournal(path)
@@ -420,6 +437,20 @@ class TestRecoveryManager:
         assert counters["recovery.checkpoints"] == 1
         assert counters["recovery.deduped"] == 0
         assert counters["recovery.replayed"] == 0
+
+    def test_snapshot_bytes_gauge_tracks_the_last_checkpoint(self, tmp_path):
+        path = str(tmp_path / "j")
+        system = SubscriptionSystem(clock=SimulatedClock(START), batch_size=2)
+        manager = system.enable_recovery(path, checkpoint_every=1)
+
+        def gauge():
+            return system.metrics_snapshot()["gauges"]["recovery.snapshot_bytes"]
+
+        first = gauge()
+        assert first == os.path.getsize(path + ".snapshot")
+        system.run_stream(from_pairs(pages(4)))
+        assert manager.checkpoints == 3
+        assert gauge() == os.path.getsize(path + ".snapshot") > first
 
     def test_checkpoint_cadence_counts_batches(self, tmp_path):
         system = SubscriptionSystem(
@@ -860,6 +891,107 @@ class TestExactlyOnceCrashRecovery:
             f"extra={len(manager.seen - baseline)}"
         )
 
+
+#: A subscription notified of every change to a shop page.
+TOUCHED = """
+subscription {name}
+monitoring Touched
+select <Touched url=URL/>
+where URL extends "http://www.shop"
+  and modified self
+report when count >= 1
+"""
+
+#: Hours into the run of the explicit checkpoint and of the unsubscribe
+#: that follows it (the crash comes at the next delivery after that).
+CHECKPOINT_HOUR = 6
+UNSUBSCRIBE_HOUR = 12
+
+
+def touched_world(subs_path, seed, recover=False):
+    """The kill-point world with every page crawled hourly and two
+    :data:`TOUCHED` subscriptions, ``Keep`` and ``Gone``; returns the
+    system, the crawler and ``Gone``'s id (``None`` when ``recover``:
+    the pages and subscriptions come back from disk)."""
+    database = Database.recover(subs_path) if recover else Database(path=subs_path)
+    system, crawler = build_world(database, seed=seed)
+    if recover:
+        return system, crawler, None
+    seed_world(system, crawler, seed=seed)
+    for i in range(SITES):
+        crawler.set_interval(
+            f"http://www.shop{i}.example/catalog/products.xml", 3600
+        )
+    system.subscribe(TOUCHED.format(name="Keep"), owner_email="k@example.org")
+    gone = system.subscribe(
+        TOUCHED.format(name="Gone"), owner_email="g@example.org"
+    )
+    return system, crawler, gone
+
+
+def drive_and_unsubscribe(system, crawler, gone, manager=None, crash=False):
+    """:func:`drive`, plus one unsubscribe of ``gone`` at
+    ``UNSUBSCRIBE_HOUR`` (skipped once the store has removed it).  With
+    ``manager``, a checkpoint is taken at ``CHECKPOINT_HOUR``; with
+    ``crash``, the next delivery after the unsubscribe crashes."""
+    while system.clock.now() < END:
+        hour = (system.clock.now() - START) / 3600
+        if manager is not None and hour == CHECKPOINT_HOUR:
+            manager.checkpoint()
+        if hour >= UNSUBSCRIBE_HOUR and not system.manager.was_removed(gone):
+            system.unsubscribe(gone)
+            if crash:
+                install(KILL_POINT_POST_DELIVER, at=1)
+        system.run_stream(crawler.due_fetches())
+        system.advance_time(3600)
+
+
+class TestUnsubscribeBeforeTheCrash:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_removed_subscription_window_is_discarded_not_replayed(
+        self, tmp_path, seed
+    ):
+        """A subscription that delivers after the last checkpoint and is
+        then removed before the crash: its journaled deliveries cannot be
+        regenerated by the resumed run, so they count as discarded, and
+        ``deduped == replayed`` holds for the rest of the window."""
+        # -- the fault-free run ---------------------------------------------
+        system, crawler, gone = touched_world(str(tmp_path / "base.subs"), seed)
+        baseline = system.enable_recovery(
+            str(tmp_path / "base.journal"),
+            crawler=crawler,
+            checkpoint_every=10**6,
+        )
+        drive_and_unsubscribe(system, crawler, gone)
+        assert baseline.deduped == 0
+
+        # -- the doomed run -------------------------------------------------
+        subs_path = str(tmp_path / "run.subs")
+        journal = str(tmp_path / "run.journal")
+        system, crawler, gone = touched_world(subs_path, seed)
+        doomed = system.enable_recovery(
+            journal, crawler=crawler, checkpoint_every=10**6
+        )
+        with pytest.raises(CrashPoint):
+            drive_and_unsubscribe(
+                system, crawler, gone, manager=doomed, crash=True
+            )
+        assert system.manager.was_removed(gone)
+
+        # -- resume in a fresh world ------------------------------------------
+        fresh, fresh_crawler, _ = touched_world(subs_path, seed, recover=True)
+        manager = fresh.recover_runtime(journal, crawler=fresh_crawler)
+        assert fresh.clock.now() == START + CHECKPOINT_HOUR * 3600
+        assert fresh.manager.was_removed(gone)
+        drive_and_unsubscribe(fresh, fresh_crawler, gone)
+
+        assert manager.discarded > 0, "Gone never delivered in the window"
+        assert manager.replayed > 0
+        assert manager.deduped == manager.replayed
+        assert manager.seen == baseline.seen
+        counters = fresh.metrics_snapshot()["counters"]
+        assert counters["recovery.discarded"] == manager.discarded
+        assert counters["recovery.replayed"] == manager.replayed
 
 # ---------------------------------------------------------------------------
 # The CLI round trip

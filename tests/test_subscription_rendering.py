@@ -120,6 +120,21 @@ class TestTemplateRendering:
             '<A url="http://u/?a&amp;b"><B at="990000000"/></A>'
         )
 
+    def test_text_equal_sign_left_alone(self):
+        # Only unquoted values inside start tags are attribute values.
+        fill = compile_template("<A>a=b</A>")
+        assert fill(notification()) == "<A>a=b</A>"
+
+    def test_equal_sign_in_quoted_value_left_alone(self):
+        fill = compile_template('<A note="x=y" url=URL/>')
+        assert fill(notification(url="http://u/")) == (
+            '<A note="x=y" url="http://u/"/>'
+        )
+
+    def test_comment_left_alone(self):
+        fill = compile_template("<A><!-- <B c=URL> --><C d=URL/></A>")
+        assert fill(notification(url="http://u/")) == '<A><C d="http://u/"/></A>'
+
 
 class TestItemRendering:
     def test_payload_elements_parsed_back(self):
