@@ -17,6 +17,7 @@ from .tracing import LATENCY_SUFFIX
 
 STAGE_REPOSITORY_STORE_XML = "repository.store_xml"
 STAGE_REPOSITORY_STORE_HTML = "repository.store_html"
+STAGE_DIFF_CLASSIFY_CHANGES = "diff.classify_changes"
 STAGE_ALERTERS_BUILD_ALERT = "alerters.build_alert"
 STAGE_MQP_PROCESS_ALERT = "mqp.process_alert"
 STAGE_TRIGGERS_TICK = "triggers.tick"
@@ -25,6 +26,7 @@ STAGE_REPORTER_TICK = "reporter.tick"
 STAGE_NAMES: Tuple[str, ...] = (
     STAGE_REPOSITORY_STORE_XML,
     STAGE_REPOSITORY_STORE_HTML,
+    STAGE_DIFF_CLASSIFY_CHANGES,
     STAGE_ALERTERS_BUILD_ALERT,
     STAGE_MQP_PROCESS_ALERT,
     STAGE_TRIGGERS_TICK,
@@ -36,12 +38,8 @@ STAGE_NAMES: Tuple[str, ...] = (
 # they are catalogued separately from the always-present STAGE_NAMES) -------
 
 STAGE_EXECUTOR_RUN_BATCH = "executor.run_batch"  # label: executor
-STAGE_EXECUTOR_STAGE = "executor.stage"  # labels: executor, stage
 
-EXECUTOR_STAGE_NAMES: Tuple[str, ...] = (
-    STAGE_EXECUTOR_RUN_BATCH,
-    STAGE_EXECUTOR_STAGE,
-)
+EXECUTOR_STAGE_NAMES: Tuple[str, ...] = (STAGE_EXECUTOR_RUN_BATCH,)
 
 # -- counters ----------------------------------------------------------------
 
@@ -94,7 +92,6 @@ COUNTER_NAMES: Tuple[str, ...] = (
 # -- gauges ------------------------------------------------------------------
 
 GAUGE_SUBSCRIPTIONS = "pipeline.subscriptions"
-GAUGE_EXECUTOR_QUEUE_DEPTH = "executor.queue_depth"
 GAUGE_DLQ_DEPTH = "dlq.depth"
 #: Bytes of the last checkpoint snapshot (lazily interned, as the
 #: recovery counters are).
@@ -102,7 +99,6 @@ GAUGE_RECOVERY_SNAPSHOT_BYTES = "recovery.snapshot_bytes"
 
 GAUGE_NAMES: Tuple[str, ...] = (
     GAUGE_SUBSCRIPTIONS,
-    GAUGE_EXECUTOR_QUEUE_DEPTH,
     GAUGE_DLQ_DEPTH,
     GAUGE_RECOVERY_SNAPSHOT_BYTES,
 )

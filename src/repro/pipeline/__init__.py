@@ -1,6 +1,6 @@
 """End-to-end subscription system assembly."""
 
-from .stages import DEFAULT_BATCH_SIZE, FeedResult, PipelineTask
+from .stages import DEFAULT_BATCH_SIZE, FeedResult
 from .stream import Fetch, from_pairs, HTML_PAGE, XML_PAGE
 from .system import SubscriptionSystem
 
@@ -9,7 +9,6 @@ __all__ = [
     "Fetch",
     "FeedResult",
     "HTML_PAGE",
-    "PipelineTask",
     "SubscriptionSystem",
     "XML_PAGE",
     "from_pairs",

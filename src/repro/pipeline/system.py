@@ -7,12 +7,12 @@ Processor detects complex events, notifications are routed by the
 Subscription Manager to the Reporter and the Trigger Engine, and reports
 leave through the email sink / web publisher.
 
-Documents travel through the staged pipeline of
-:mod:`repro.pipeline.stages`; single pages go through :meth:`feed_xml` /
-:meth:`feed_html`, whole crawls through :meth:`run_stream`, which pulls
-``batch_size`` fetches at a time and hands each batch to
-:meth:`feed_batch`; a batch's pages run through the stages one at a
-time, in input order.  With crash recovery enabled, a checkpoint may be
+Every page takes the one path of
+:func:`repro.pipeline.stages.feed_document`; single pages go through
+:meth:`feed_xml` / :meth:`feed_html`, whole crawls through
+:meth:`run_stream`, which pulls ``batch_size`` fetches at a time and hands
+each batch to :meth:`feed_batch`; a batch's pages are fed one at a time,
+in input order.  With crash recovery enabled, a checkpoint may be
 taken between any two batches of a stream.
 
 This is the facade examples and integration tests use::
@@ -27,7 +27,7 @@ This is the facade examples and integration tests use::
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..alerters.chain import AlerterChain
 from ..clock import Clock, SECONDS_PER_DAY, SimulatedClock
@@ -37,7 +37,7 @@ from ..core.sharding import (
     FlowPartitionedProcessor,
     SubscriptionPartitionedProcessor,
 )
-from ..errors import PipelineError, ReportingError
+from ..errors import PipelineError, ReportingError, ReproError
 from ..faults.dlq import DeadLetterEntry, DeadLetterQueue, SOURCE_PIPELINE
 from ..faults.killpoints import KILL_POINT_POST_FETCH, maybe_kill
 from ..minisql import Database
@@ -46,13 +46,12 @@ from ..observability.names import (
     COUNTER_DOCUMENTS_FED,
     COUNTER_DOCUMENTS_REJECTED,
     COUNTER_NOTIFICATIONS_EMITTED,
-    GAUGE_EXECUTOR_QUEUE_DEPTH,
     GAUGE_SUBSCRIPTIONS,
     HISTOGRAM_BATCH_SIZE,
+    STAGE_DIFF_CLASSIFY_CHANGES,
     STAGE_EXECUTOR_RUN_BATCH,
-    stage_latency_name,
 )
-from ..observability.tracing import LATENCY_SUFFIX
+from ..observability.tracing import LATENCY_SUFFIX, stage_histogram
 from ..query.engine import QueryEngine
 from ..reporting.email_sink import EmailSink, WebPublisher
 from ..reporting.reporter import Reporter
@@ -70,10 +69,7 @@ from .stages import (
     DEFAULT_BATCH_SIZE,
     EXECUTOR_LABEL,
     FeedResult,
-    LIFECYCLE,
-    PipelineTask,
-    observe_stage_times,
-    run_stage,
+    feed_document,
 )
 from .stream import Fetch, HTML_PAGE, XML_PAGE
 
@@ -198,6 +194,9 @@ class SubscriptionSystem:
             COUNTER_NOTIFICATIONS_EMITTED
         )
         self._subscriptions_gauge = self.metrics.gauge(GAUGE_SUBSCRIPTIONS)
+        self._classify_latency = stage_histogram(
+            self.metrics, STAGE_DIFF_CLASSIFY_CHANGES
+        )
         self.batch_size = _checked_batch_size(
             DEFAULT_BATCH_SIZE if batch_size is None else batch_size
         )
@@ -208,7 +207,6 @@ class SubscriptionSystem:
         # Batch metrics are interned on the first feed_batch call so a
         # system fed only through the single-document path keeps a snapshot
         # free of executor.* series.
-        self._queue_gauge = None
         self._batch_size_histogram = None
         self._run_batch_latency = None
 
@@ -239,125 +237,100 @@ class SubscriptionSystem:
 
     def feed_xml(self, url: str, content: str) -> FeedResult:
         """One XML page fetched by the (simulated) crawler."""
-        return self._feed_one(Fetch(url=url, content=content, kind=XML_PAGE))
+        return self.feed(Fetch(url=url, content=content, kind=XML_PAGE))
 
     def feed_html(self, url: str, content: str) -> FeedResult:
         """One HTML page: signature tracking + keyword alerting only."""
-        return self._feed_one(Fetch(url=url, content=content, kind=HTML_PAGE))
+        return self.feed(Fetch(url=url, content=content, kind=HTML_PAGE))
 
     def feed(self, fetch: Fetch) -> FeedResult:
-        return self._feed_one(fetch)
-
-    def _feed_one(self, fetch: Fetch) -> FeedResult:
-        """Run one document through the stage lifecycle, no batch metrics,
-        no error slot: failures propagate to the caller as they always
-        did."""
-        task = PipelineTask(fetch=fetch)
-        for stage, step in LIFECYCLE:
-            step(self, task)
-            task.stage = stage
+        """Feed one page, no batch metrics: a rejected page's error
+        propagates to the caller."""
+        result = feed_document(self, fetch)
         self._commit_journal()
-        return task.result()
+        return result
 
     def feed_batch(
         self, fetches: Iterable[Fetch], skip_malformed: bool = True
     ) -> List[FeedResult]:
-        """Feed one batch of pages through the stage lifecycle.
+        """Feed one batch of pages, one at a time, in input order.
 
-        Each page runs every stage of
-        :data:`~repro.pipeline.stages.LIFECYCLE` before the next page
-        starts, in input order, so semantics match sequential :meth:`feed`
-        calls on the same pages: per-document error isolation (with
-        ``skip_malformed`` a rejected page is counted under
-        ``documents_rejected`` / ``pipeline.documents_rejected{reason=...}``
-        and skipped), identical notifications, reports and counters.  With
-        ``skip_malformed=False`` the first rejection is raised and no later
-        page in the batch enters the pipeline.
+        Semantics match sequential :meth:`feed` calls on the same pages,
+        with per-document error isolation: a page whose feed raises a
+        :class:`~repro.errors.ReproError` is rejected — counted under
+        ``documents_rejected`` / ``pipeline.documents_rejected{reason=...}``,
+        quarantined when the system has a dead-letter queue, and skipped.
+        With ``skip_malformed=False`` the first rejection is raised instead
+        and no later page of the batch is fed.  Any other exception is a
+        bug, not a bad page, and propagates.
 
-        Batch observability: one ``executor.batch_size`` observation, one
-        ``executor.run_batch.latency_seconds{executor=serial}`` span, one
-        ``executor.stage.latency_seconds{executor=serial,stage=...}``
-        observation per stage the batch touched, and the
-        ``executor.queue_depth`` gauge holds the in-flight batch size while
-        the batch runs.
+        The journal is committed when the batch returns and before the
+        first rejection is raised; never when anything else escapes (a
+        crash must leave the batch's deliveries uncommitted).
+
+        Batch observability: one ``executor.batch_size`` observation and
+        one ``executor.run_batch.latency_seconds{executor=serial}`` span.
         """
-        tasks = [PipelineTask(fetch=fetch) for fetch in fetches]
-        if not tasks:
+        fetches = list(fetches)
+        if not fetches:
             return []
         if self._batch_size_histogram is None:
-            self._queue_gauge = self.metrics.gauge(GAUGE_EXECUTOR_QUEUE_DEPTH)
             self._batch_size_histogram = self.metrics.histogram(
                 HISTOGRAM_BATCH_SIZE,
                 BATCH_SIZE_BUCKETS,
                 executor=EXECUTOR_LABEL,
             )
-            self._run_batch_latency = self.metrics.histogram(
-                stage_latency_name(STAGE_EXECUTOR_RUN_BATCH),
-                executor=EXECUTOR_LABEL,
+            self._run_batch_latency = stage_histogram(
+                self.metrics, STAGE_EXECUTOR_RUN_BATCH, executor=EXECUTOR_LABEL
             )
-        self._batch_size_histogram.observe(len(tasks))
-        self._queue_gauge.set(len(tasks))
+        self._batch_size_histogram.observe(len(fetches))
+        results: List[FeedResult] = []
         now = self.metrics.now
         start = now()
         try:
-            elapsed: Dict[str, float] = {}
-            for task in tasks:
-                for stage, step in LIFECYCLE:
-                    stage_start = now()
-                    run_stage(stage, step, self, task)
-                    elapsed[stage] = (
-                        elapsed.get(stage, 0.0) + now() - stage_start
-                    )
-                    if task.error is not None:
-                        break
-                if task.error is not None and not skip_malformed:
-                    break
-            observe_stage_times(self.metrics, elapsed)
+            for fetch in fetches:
+                try:
+                    results.append(feed_document(self, fetch))
+                except ReproError as error:
+                    if not skip_malformed:
+                        self._commit_journal()
+                        raise
+                    self._reject(fetch, error)
         finally:
             self._run_batch_latency.observe(now() - start)
-            self._queue_gauge.set(0)
         self._commit_journal()
-        results: List[FeedResult] = []
-        for task in tasks:
-            if task.error is not None:
-                if not skip_malformed:
-                    raise task.error
-                self.documents_rejected += 1
-                self.metrics.counter(
-                    COUNTER_DOCUMENTS_REJECTED,
-                    reason=type(task.error).__name__,
-                ).inc()
-                if self.dead_letters is not None:
-                    self.dead_letters.push(
-                        DeadLetterEntry(
-                            url=task.fetch.url,
-                            content=task.fetch.content,
-                            kind=task.fetch.kind,
-                            error=str(task.error),
-                            error_class=type(task.error).__name__,
-                            source=SOURCE_PIPELINE,
-                            quarantined_at=self.clock.now(),
-                        )
-                    )
-            elif task.done:
-                results.append(task.result())
         return results
 
+    def _reject(self, fetch: Fetch, error: ReproError) -> None:
+        """Count a rejected page and quarantine it."""
+        reason = type(error).__name__
+        self.documents_rejected += 1
+        self.metrics.counter(COUNTER_DOCUMENTS_REJECTED, reason=reason).inc()
+        if self.dead_letters is not None:
+            self.dead_letters.push(
+                DeadLetterEntry(
+                    url=fetch.url,
+                    content=fetch.content,
+                    kind=fetch.kind,
+                    error=str(error),
+                    error_class=reason,
+                    source=SOURCE_PIPELINE,
+                    quarantined_at=self.clock.now(),
+                )
+            )
+
     def run_stream(
-        self,
-        stream: Iterable[Fetch],
-        skip_malformed: bool = True,
-        batch_size: Optional[int] = None,
+        self, stream: Iterable[Fetch], skip_malformed: bool = True
     ) -> List[FeedResult]:
         """Feed a whole stream, ``batch_size`` fetches at a time.
 
-        Pulls up to ``batch_size`` (default: the system's ``batch_size``)
-        fetches from ``stream``, feeds them through :meth:`feed_batch`,
-        and repeats until the stream is exhausted.  With recovery enabled
-        the :class:`~repro.recovery.RecoveryManager` is told after each
-        batch returns, so a due checkpoint is taken at that batch
-        boundary.  If ``stream`` raises, the batches already fed stay
-        fed and the partly pulled batch is lost.
+        Pulls up to the system's ``batch_size`` fetches from ``stream``,
+        feeds them through :meth:`feed_batch`, and repeats until the
+        stream is exhausted.  With recovery enabled the
+        :class:`~repro.recovery.RecoveryManager` is told after each batch
+        returns, so a due checkpoint is taken at that batch boundary.  If
+        ``stream`` raises, the batches already fed stay fed and the partly
+        pulled batch is lost.
 
         Per-document semantics are those of :meth:`feed_batch`: with
         ``skip_malformed`` (the default) a page the loader rejects — any
@@ -367,15 +340,10 @@ class SubscriptionSystem:
         ``pipeline.documents_rejected{reason=...}`` metric recording the
         error class) and skipped rather than aborting the stream.
         """
-        size = (
-            self.batch_size
-            if batch_size is None
-            else _checked_batch_size(batch_size)
-        )
         fetches = iter(stream)
         results: List[FeedResult] = []
         while True:
-            batch = list(islice(fetches, size))
+            batch = list(islice(fetches, self.batch_size))
             if not batch:
                 return results
             maybe_kill(KILL_POINT_POST_FETCH)

@@ -62,6 +62,18 @@ _SEQUENCES_SCHEMA = schema(
 _SUBSCRIPTION_IDS = Eq("name", "subscriptions")
 
 
+def _validated(source: Union[str, Subscription]) -> Tuple[Subscription, str]:
+    """Parse (or, for a programmatically built AST, unparse) and validate a
+    subscription; returns the AST and the source text to persist, so every
+    subscription is recoverable from the database like any other."""
+    if isinstance(source, str):
+        subscription, source_text = parse_subscription(source), source
+    else:
+        subscription, source_text = source, unparse(source)
+    validate_subscription(subscription)
+    return subscription, source_text
+
+
 class SubscriptionManager:
     def __init__(
         self,
@@ -127,15 +139,7 @@ class SubscriptionManager:
 
         Returns the new subscription id.
         """
-        if isinstance(source, str):
-            source_text = source
-            subscription = parse_subscription(source)
-        else:
-            # Programmatically-built AST: render canonical source so the
-            # subscription is recoverable from the database like any other.
-            subscription = source
-            source_text = unparse(subscription)
-        validate_subscription(subscription)
+        subscription, source_text = _validated(source)
         if subscription.name in self._id_by_name:
             raise SubscriptionError(
                 f"a subscription named {subscription.name!r} already exists"
@@ -159,18 +163,22 @@ class SubscriptionManager:
             privileged=privileged,
         )
         self._install(compiled)
+        self._insert_row(compiled)
+        return subscription_id
+
+    def _insert_row(self, compiled: CompiledSubscription) -> None:
+        """Persist a compiled subscription as its ``subscriptions`` row."""
         self.database.table("subscriptions").insert(
             {
-                "id": subscription_id,
-                "name": subscription.name,
-                "owner_email": owner_email,
-                "recipients": ",".join(recipients),
-                "source": source_text,
-                "privileged": bool(privileged),
-                "active": True,
+                "id": compiled.subscription_id,
+                "name": compiled.name,
+                "owner_email": compiled.owner_email,
+                "recipients": ",".join(compiled.recipients),
+                "source": compiled.source_text,
+                "privileged": bool(compiled.privileged),
+                "active": compiled.active,
             }
         )
-        return subscription_id
 
     def _install(self, compiled: CompiledSubscription) -> None:
         self._subscriptions[compiled.subscription_id] = compiled
@@ -225,13 +233,7 @@ class SubscriptionManager:
         (they may no longer match the new report query).
         """
         old = self._require(subscription_id)
-        if isinstance(source, str):
-            source_text = source
-            subscription = parse_subscription(source)
-        else:
-            subscription = source
-            source_text = unparse(subscription)
-        validate_subscription(subscription)
+        subscription, source_text = _validated(source)
         # A malformed template must fail before the teardown below.
         templates = self.compiler.templates(subscription)
         other_id = self._id_by_name.get(subscription.name)
@@ -257,17 +259,7 @@ class SubscriptionManager:
         )
         compiled.active = was_active
         self._install(compiled)
-        self.database.table("subscriptions").insert(
-            {
-                "id": subscription_id,
-                "name": subscription.name,
-                "owner_email": old.owner_email,
-                "recipients": ",".join(old.recipients),
-                "source": source_text,
-                "privileged": bool(old.privileged),
-                "active": was_active,
-            }
-        )
+        self._insert_row(compiled)
 
     def inhibit(self, subscription_id: int) -> None:
         """A-posteriori cost control: stop routing without deleting."""

@@ -61,9 +61,11 @@ BATCH_DEPENDENT = ("executor.",)
 
 
 def run(stream, batch_size, **kwargs):
-    system = SubscriptionSystem(clock=SimulatedClock(1_000_000.0), **kwargs)
+    system = SubscriptionSystem(
+        clock=SimulatedClock(1_000_000.0), batch_size=batch_size, **kwargs
+    )
     system.subscribe(SOURCE, owner_email="u@x")
-    results = system.run_stream(iter(stream), batch_size=batch_size)
+    results = system.run_stream(iter(stream))
     snapshot = system.metrics_snapshot()
     notifications = sorted(
         (n.complex_code, n.document_url, n.timestamp)
@@ -123,7 +125,7 @@ def _faulted_crawl_stream():
     for _ in range(4):
         fetches.extend(crawler.due_fetches())
         clock.advance(SECONDS_PER_DAY)
-    # Mix in pages the loader must reject so the error-slot path is
+    # Mix in pages the loader must reject so the rejection path is
     # exercised alongside the fault-injected fetch sequence.
     fetches.insert(3, Fetch("http://www.shop0.example/bad.xml", "<r><boom>"))
     fetches.append(Fetch("http://www.shop1.example/bad.xml", "<nope"))

@@ -123,11 +123,10 @@ class TestPipelineDocument:
         for setting in ("`batch_size=`", "`--batch-size`"):
             assert setting in doc, f"{setting} undocumented"
         assert f"| {DEFAULT_BATCH_SIZE} (`DEFAULT_BATCH_SIZE`) |" in doc
-        for method in (SubscriptionSystem.__init__,
-                       SubscriptionSystem.run_stream):
-            parameters = inspect.signature(method).parameters
-            assert "batch_size" in parameters
-            assert "queue_bound" not in parameters
+        init = inspect.signature(SubscriptionSystem.__init__).parameters
+        stream = inspect.signature(SubscriptionSystem.run_stream).parameters
+        assert "batch_size" in init and "batch_size" not in stream
+        assert "queue_bound" not in init and "queue_bound" not in stream
 
     def test_ingest_metrics_mentioned(self):
         """The bounded-queue metrics are gone from the code and marked

@@ -5,9 +5,8 @@ Pins the public-surface promises of stream ingestion:
 * ``batch_size`` defaults to 32, the keyword argument overrides it, and
   a non-positive size is rejected;
 * ``run_stream`` pulls ``batch_size`` fetches at a time and feeds each
-  batch through ``feed_batch`` on the calling thread — the
-  ``executor.queue_depth`` gauge holds the batch in flight, a rejected
-  page is counted and skipped, and a failure stops the stream where it
+  batch through ``feed_batch`` on the calling thread — a rejected page
+  is counted and skipped, and a failure stops the stream where it
   happened;
 * ``repro.api`` is the stable facade.
 """
@@ -80,36 +79,6 @@ class TestRunStreamLoop:
         assert [url for batch in seen for url in batch] == [
             url for url, _ in xml_pages(10)
         ]
-        gauge = system.metrics_snapshot()["gauges"]["executor.queue_depth"]
-        assert gauge == 0  # drained at the end
-
-    def test_run_stream_validates_batch_size(self):
-        system = build_system()
-        with pytest.raises(PipelineError):
-            system.run_stream(from_pairs(xml_pages(2)), batch_size=0)
-
-    def test_per_call_batch_size_overrides_the_system(self):
-        system = build_system(batch_size=4)
-        system.run_stream(from_pairs(xml_pages(10)), batch_size=3)
-        histogram = system.metrics_snapshot()["histograms"][
-            "executor.batch_size{executor=serial}"
-        ]
-        assert histogram["count"] == 4  # 3 + 3 + 3 + 1
-
-    def test_queue_depth_gauge_holds_the_batch_in_flight(self):
-        system = build_system(batch_size=4)
-        gauge = system.metrics.gauge("executor.queue_depth")
-        depths = []
-        store_xml = system.repository.store_xml
-
-        def spying_store_xml(*args, **kwargs):
-            depths.append(gauge.value)
-            return store_xml(*args, **kwargs)
-
-        system.repository.store_xml = spying_store_xml
-        system.run_stream(from_pairs(xml_pages(6)))
-        assert depths == [4, 4, 4, 4, 2, 2]
-        assert gauge.value == 0
 
     def test_rejection_semantics_unchanged(self):
         """Regression: a rejected page is counted and skipped."""

@@ -23,7 +23,7 @@ import os
 import pytest
 
 from repro.clock import SimulatedClock
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, XMLSyntaxError
 from repro.faults import (
     KILL_POINTS,
     CircuitBreaker,
@@ -681,6 +681,31 @@ class TestGroupCommit:
         gc.collect()
         resumed.close()
         assert set(logged_ids(path)) == committed | {"resumed:1"}
+
+    def test_strict_batch_commits_before_its_first_rejection(self, tmp_path):
+        """Under ``skip_malformed=False`` the pages fed before the bad one
+        stay committed in the journal file when the error propagates."""
+        path = str(tmp_path / "j")
+        system, manager = camera_system(tmp_path)
+        batch = camera_pages(0, 2) + [
+            ("http://www.shop0.example/bad.xml", "<r><boom>")
+        ] + camera_pages(1, 1)
+        with pytest.raises(XMLSyntaxError):
+            system.feed_batch(from_pairs(batch), skip_malformed=False)
+        assert system.documents_fed == 2
+        assert len(manager.seen) == 6
+        assert set(logged_ids(path)) == manager.seen
+
+    def test_post_match_crash_leaves_the_batch_uncommitted(self, tmp_path):
+        path = str(tmp_path / "j")
+        system, manager = camera_system(tmp_path)
+        system.feed_batch(from_pairs(camera_pages(0, 2)))
+        committed = set(manager.seen)
+        install(KILL_POINT_POST_MATCH, at=2)
+        with pytest.raises(CrashPoint):
+            system.feed_batch(from_pairs(camera_pages(1, 3)))
+        assert len(manager.seen) == len(committed) + 6
+        assert set(logged_ids(path)) == committed
 
     def test_checkpoint_drops_the_queue_its_snapshot_covers(self, tmp_path):
         path = str(tmp_path / "j")
