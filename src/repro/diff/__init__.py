@@ -7,8 +7,9 @@ Typical flow::
 
     space = XidSpace()
     space.assign_fresh(v1.root)            # first version enters the store
-    delta = compute_delta(v1, v2, space)   # v2 nodes get XIDs as a side effect
-    changes = classify_changes(v1, v2, delta)
+    touched = []                           # elements the delta touches
+    delta = compute_delta(v1, v2, space, touched)  # v2 nodes get XIDs too
+    changes = classify_changes(delta, touched)
     v2_again = apply_delta(v1, delta)      # reconstruction
     v1_again = apply_delta(v2, delta.inverted())
 """
@@ -33,7 +34,12 @@ from .delta import (
     copy_document,
 )
 from .matching import compute_delta
-from .signature import document_signature, page_signature, subtree_signatures
+from .signature import (
+    SignatureMemo,
+    document_signature,
+    page_signature,
+    subtree_signatures,
+)
 from .xids import XidSpace, index_by_xid, max_xid, space_for
 
 __all__ = [
@@ -56,6 +62,7 @@ __all__ = [
     "compute_delta",
     "document_signature",
     "page_signature",
+    "SignatureMemo",
     "subtree_signatures",
     "XidSpace",
     "index_by_xid",

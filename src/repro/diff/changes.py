@@ -11,17 +11,21 @@ the two versions:
   attribute change, an insertion or a deletion strictly below it); the
   classification propagates to ancestors so that ``updated Product`` fires
   when a ``<price>`` nested in a product changes.
+
+Classification reads only nodes the diff already holds: the inserted and
+deleted subtrees carried by the delta's operations (the in-document nodes
+of the new and the old version) and the touched elements ``compute_delta``
+collects beside the delta.  It builds no XID index of either tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import Iterator, List, Set
 
 from ..errors import DiffError
-from ..xmlstore.nodes import Document, ElementNode, Node
+from ..xmlstore.nodes import ElementNode, Node
 from .delta import Delta
-from .xids import index_by_xid
 
 #: Document-level statuses used by the subscription language (Section 5.1):
 #: ``change-kind self`` with kind in new / updated / unchanged / deleted.
@@ -58,73 +62,42 @@ class DocumentChanges:
 
 
 def classify_changes(
-    old_document: Document, new_document: Document, delta: Delta
+    delta: Delta, touched: List[ElementNode]
 ) -> DocumentChanges:
-    """Classify elements as new / updated / deleted given a computed delta.
+    """Classify elements as new / updated / deleted given a computed delta
+    and the elements ``compute_delta`` touched for it (its ``touched``
+    list).
 
-    ``new_document`` must be the version produced by the diff (its nodes
-    carry XIDs); ``old_document`` is the diff's base.
+    New and deleted elements are listed in document order, subtree by
+    subtree in operation order.  Updated elements are each touched element
+    followed by its ancestors not listed yet, in the order ``touched``
+    holds them.  Every touched element and each of its ancestors is
+    matched, so none of them is new.
     """
     changes = DocumentChanges()
     if not delta:
         return changes
-
-    new_index = index_by_xid(new_document)
-    old_index = index_by_xid(old_document)
-
     for insert in delta.inserts:
-        root = new_index.get(insert.subtree.xid or -1)
-        # The inserted subtree lives both in the delta and (with the same
-        # XIDs) in the new document; prefer the in-document nodes so callers
-        # can navigate from them.
-        source: Node = root if root is not None else insert.subtree
-        for node in source.preorder():
-            if isinstance(node, ElementNode):
-                changes.new_elements.append(node)
-
+        changes.new_elements.extend(_elements(insert.subtree))
     for delete in delta.deletes:
-        root_old = old_index.get(delete.xid)
-        source = root_old if root_old is not None else delete.subtree
-        for node in source.preorder():
-            if isinstance(node, ElementNode):
-                changes.deleted_elements.append(node)
+        changes.deleted_elements.extend(_elements(delete.subtree))
 
     # Updated: matched elements touched directly or via a descendant edit.
-    touched: List[Node] = []
-    for update in delta.text_updates:
-        node = new_index.get(update.xid)
-        if node is not None:
-            touched.append(node)
-    for attr_update in delta.attribute_updates:
-        node = new_index.get(attr_update.xid)
-        if node is not None:
-            touched.append(node)
-    for insert in delta.inserts:
-        parent = new_index.get(insert.parent_xid)
-        if parent is not None:
-            touched.append(parent)
-    for delete in delta.deletes:
-        parent = new_index.get(delete.parent_xid)
-        if parent is not None:
-            touched.append(parent)
-
-    new_xids = {
-        node.xid
-        for insert in delta.inserts
-        for node in insert.subtree.preorder()
-    }
+    updated = changes.updated_elements
     seen: Set[int] = set()
-    for node in touched:
-        element = node if isinstance(node, ElementNode) else node.parent
-        while element is not None:
-            marker = id(element)
-            if marker in seen:
-                break
-            seen.add(marker)
-            if element.xid not in new_xids:
-                changes.updated_elements.append(element)
+    for element in touched:
+        while element is not None and id(element) not in seen:
+            seen.add(id(element))
+            updated.append(element)
             element = element.parent
     return changes
+
+
+def _elements(root: Node) -> Iterator[ElementNode]:
+    """The elements of ``root``'s subtree, in document order."""
+    for node in root.preorder():
+        if isinstance(node, ElementNode):
+            yield node
 
 
 def document_status(delta: Delta) -> str:

@@ -17,10 +17,16 @@ unchanged text node of the new version, so only inserted and updated text is
 tokenised again.  Both caches it reads, words and subtree signatures, assume
 the trees are not mutated once cached: callers edit a ``copy_document``
 copy.
+
+``compute_delta`` also hands back, beside the delta, the new-version
+elements its operations touch, so change classification reads them
+instead of indexing both trees by XID.  XIDs (and words) are copied across
+an anchored subtree by walking the two children lists pairwise.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DiffError
@@ -35,7 +41,10 @@ _LCS_CELL_LIMIT = 1_000_000
 
 
 def compute_delta(
-    old_document: Document, new_document: Document, xid_space: XidSpace
+    old_document: Document,
+    new_document: Document,
+    xid_space: XidSpace,
+    touched: Optional[List[ElementNode]] = None,
 ) -> Delta:
     """Diff two versions.
 
@@ -45,6 +54,14 @@ def compute_delta(
     cached words.  Both documents keep their subtree signatures
     (``document_signatures``), so a version already signed is not signed
     again.  ``old_document``'s tree is not modified.
+
+    When ``touched`` is given, the new-version element each operation
+    touches is appended to it, in the order of the delta's operation
+    lists: the parent of each updated text node, each element whose
+    attributes changed, and the parent of each insertion and of each
+    deletion.  All of them are matched elements.  They are kept beside
+    the delta, never in it: a delta joins the version history, and these
+    nodes belong to the new tree.
     """
     old_root = old_document.root
     new_root = new_document.root
@@ -53,124 +70,134 @@ def compute_delta(
             f"root element changed from <{old_root.tag}> to <{new_root.tag}>;"
             " version lineage must be restarted"
         )
-    old_signatures = document_signatures(old_document)
-    new_signatures = document_signatures(new_document)
-    delta = Delta()
-    _match_elements(
-        old_root, new_root, old_signatures, new_signatures, delta, xid_space
+    matcher = _Matcher(
+        document_signatures(old_document),
+        document_signatures(new_document),
+        xid_space,
     )
-    return delta
-
-
-def _match_elements(
-    old: ElementNode,
-    new: ElementNode,
-    old_signatures: Dict[int, int],
-    new_signatures: Dict[int, int],
-    delta: Delta,
-    xid_space: XidSpace,
-) -> None:
-    """Match two same-tag elements: propagate XID, diff attrs and children."""
-    new.xid = require_xid(old)
-    if old.attributes != new.attributes:
-        changes: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
-        for name in set(old.attributes) | set(new.attributes):
-            before = old.attributes.get(name)
-            after = new.attributes.get(name)
-            if before != after:
-                changes[name] = (before, after)
-        delta.attribute_updates.append(
-            UpdateAttributesOp(xid=new.xid, changes=changes)
+    matcher.match_elements(old_root, new_root)
+    if touched is not None:
+        touched.extend(
+            chain(
+                matcher.text_parents,
+                matcher.attribute_elements,
+                matcher.insert_parents,
+                matcher.delete_parents,
+            )
         )
-    _align_children(old, new, old_signatures, new_signatures, delta, xid_space)
+    return matcher.delta
 
 
-def _align_children(
-    old: ElementNode,
-    new: ElementNode,
-    old_signatures: Dict[int, int],
-    new_signatures: Dict[int, int],
-    delta: Delta,
-    xid_space: XidSpace,
-) -> None:
-    old_children = old.children
-    new_children = new.children
-    old_keys = [old_signatures[id(c)] for c in old_children]
-    new_keys = [new_signatures[id(c)] for c in new_children]
-    anchors = _lcs_pairs(old_keys, new_keys)
+class _Matcher:
+    """One diff's state: both signature maps, the delta being built and,
+    one list per operation list, the new-version elements it touches."""
 
-    matched_old: set[int] = set()
-    matched_new: set[int] = set()
-    for old_index, new_index in anchors:
-        _propagate_xids(old_children[old_index], new_children[new_index])
-        matched_old.add(old_index)
-        matched_new.add(new_index)
+    def __init__(
+        self,
+        old_signatures: Dict[int, int],
+        new_signatures: Dict[int, int],
+        xid_space: XidSpace,
+    ):
+        self.old_signatures = old_signatures
+        self.new_signatures = new_signatures
+        self.xid_space = xid_space
+        self.delta = Delta()
+        self.text_parents: List[ElementNode] = []
+        self.attribute_elements: List[ElementNode] = []
+        self.insert_parents: List[ElementNode] = []
+        self.delete_parents: List[ElementNode] = []
 
-    # Work gap by gap between consecutive anchors, pairing same-kind nodes.
-    boundaries = anchors + [(len(old_children), len(new_children))]
-    previous = (-1, -1)
-    deletions: List[int] = []
-    for old_anchor, new_anchor in boundaries:
-        gap_old = list(range(previous[0] + 1, old_anchor))
-        gap_new = list(range(previous[1] + 1, new_anchor))
-        previous = (old_anchor, new_anchor)
-        pairs, unmatched_old, unmatched_new = _pair_gap(
-            [old_children[i] for i in gap_old],
-            [new_children[j] for j in gap_new],
-        )
-        for offset_old, offset_new in pairs:
-            old_child = old_children[gap_old[offset_old]]
-            new_child = new_children[gap_new[offset_new]]
-            matched_old.add(gap_old[offset_old])
-            matched_new.add(gap_new[offset_new])
-            if isinstance(old_child, TextNode):
-                assert isinstance(new_child, TextNode)
-                new_child.xid = require_xid(old_child)
-                if old_child.data != new_child.data:
-                    delta.text_updates.append(
-                        UpdateTextOp(
-                            xid=new_child.xid,
-                            old_text=old_child.data,
-                            new_text=new_child.data,
+    def match_elements(self, old: ElementNode, new: ElementNode) -> None:
+        """Match two same-tag elements: propagate XID, diff attrs and
+        children."""
+        new.xid = require_xid(old)
+        if old.attributes != new.attributes:
+            changes: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
+            for name in set(old.attributes) | set(new.attributes):
+                before = old.attributes.get(name)
+                after = new.attributes.get(name)
+                if before != after:
+                    changes[name] = (before, after)
+            self.delta.attribute_updates.append(
+                UpdateAttributesOp(xid=new.xid, changes=changes)
+            )
+            self.attribute_elements.append(new)
+        self.align_children(old, new)
+
+    def align_children(self, old: ElementNode, new: ElementNode) -> None:
+        delta = self.delta
+        old_children = old.children
+        new_children = new.children
+        old_signatures = self.old_signatures
+        new_signatures = self.new_signatures
+        old_keys = [old_signatures[id(c)] for c in old_children]
+        new_keys = [new_signatures[id(c)] for c in new_children]
+        anchors = _lcs_pairs(old_keys, new_keys)
+
+        for old_index, new_index in anchors:
+            _propagate_xids(old_children[old_index], new_children[new_index])
+
+        # Work gap by gap between consecutive anchors, pairing same-kind nodes.
+        boundaries = anchors + [(len(old_children), len(new_children))]
+        previous = (-1, -1)
+        deletions: List[int] = []
+        for old_anchor, new_anchor in boundaries:
+            gap_old = list(range(previous[0] + 1, old_anchor))
+            gap_new = list(range(previous[1] + 1, new_anchor))
+            previous = (old_anchor, new_anchor)
+            if not (gap_old or gap_new):
+                continue
+            pairs, unmatched_old, unmatched_new = _pair_gap(
+                [old_children[i] for i in gap_old],
+                [new_children[j] for j in gap_new],
+            )
+            for offset_old, offset_new in pairs:
+                old_child = old_children[gap_old[offset_old]]
+                new_child = new_children[gap_new[offset_new]]
+                if isinstance(old_child, TextNode):
+                    assert isinstance(new_child, TextNode)
+                    new_child.xid = require_xid(old_child)
+                    if old_child.data != new_child.data:
+                        delta.text_updates.append(
+                            UpdateTextOp(
+                                xid=new_child.xid,
+                                old_text=old_child.data,
+                                new_text=new_child.data,
+                            )
                         )
-                    )
+                        self.text_parents.append(new)
+                    else:
+                        new_child.words = old_child.words
                 else:
-                    new_child.words = old_child.words
-            else:
-                assert isinstance(old_child, ElementNode)
-                assert isinstance(new_child, ElementNode)
-                _match_elements(
-                    old_child,
-                    new_child,
-                    old_signatures,
-                    new_signatures,
-                    delta,
-                    xid_space,
+                    assert isinstance(old_child, ElementNode)
+                    assert isinstance(new_child, ElementNode)
+                    self.match_elements(old_child, new_child)
+            deletions.extend(gap_old[i] for i in unmatched_old)
+            for offset_new in unmatched_new:
+                new_index = gap_new[offset_new]
+                subtree = new_children[new_index]
+                self.xid_space.assign_fresh(subtree)
+                delta.inserts.append(
+                    InsertOp(
+                        parent_xid=require_xid(new),
+                        position=new_index,
+                        subtree=subtree,
+                    )
                 )
-        deletions.extend(gap_old[i] for i in unmatched_old)
-        for offset_new in unmatched_new:
-            new_index = gap_new[offset_new]
-            subtree = new_children[new_index]
-            xid_space.assign_fresh(subtree)
-            delta.inserts.append(
-                InsertOp(
-                    parent_xid=require_xid(new),
-                    position=new_index,
+                self.insert_parents.append(new)
+
+        # Record deletions right-to-left so they apply cleanly by old position.
+        for old_index in sorted(deletions, reverse=True):
+            subtree = old_children[old_index]
+            delta.deletes.append(
+                DeleteOp(
+                    xid=require_xid(subtree),
+                    parent_xid=require_xid(old),
+                    position=old_index,
                     subtree=subtree,
                 )
             )
-
-    # Record deletions right-to-left so they apply cleanly by old position.
-    for old_index in sorted(deletions, reverse=True):
-        subtree = old_children[old_index]
-        delta.deletes.append(
-            DeleteOp(
-                xid=require_xid(subtree),
-                parent_xid=require_xid(old),
-                position=old_index,
-                subtree=subtree,
-            )
-        )
+            self.delete_parents.append(new)
 
 
 def _pair_gap(
@@ -200,11 +227,17 @@ def _pair_gap(
 
 def _propagate_xids(old: Node, new: Node) -> None:
     """Copy XIDs, and the words of text nodes, across two structurally
-    identical subtrees."""
-    for old_node, new_node in zip(old.preorder(), new.preorder()):
-        new_node.xid = old_node.xid
-        if type(new_node) is TextNode:
-            new_node.words = old_node.words  # type: ignore[attr-defined]
+    identical subtrees, walking their children lists pairwise."""
+    new.xid = old.xid
+    if type(new) is TextNode:
+        new.words = old.words  # type: ignore[attr-defined]
+        return
+    for old_child, new_child in zip(old.children, new.children):  # type: ignore[attr-defined]
+        if type(new_child) is TextNode:
+            new_child.xid = old_child.xid
+            new_child.words = old_child.words  # type: ignore[attr-defined]
+        else:
+            _propagate_xids(old_child, new_child)
 
 
 def _lcs_pairs(left: Sequence, right: Sequence) -> List[Tuple[int, int]]:
@@ -218,18 +251,24 @@ def _lcs_pairs(left: Sequence, right: Sequence) -> List[Tuple[int, int]]:
         return []
     if n * m > _LCS_CELL_LIMIT:
         return _greedy_pairs(left, right)
+    # The backtrack below pairs equal leading items as it meets them, and
+    # the table past them depends only on what follows: pair a common
+    # prefix directly and run the DP on the rest.
+    start = 0
+    while start < n and start < m and left[start] == right[start]:
+        start += 1
+    pairs: List[Tuple[int, int]] = [(k, k) for k in range(start)]
     # Classic DP, single pass, then backtrack.
     lengths = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1, start - 1, -1):
         row = lengths[i]
         below = lengths[i + 1]
-        for j in range(m - 1, -1, -1):
+        for j in range(m - 1, start - 1, -1):
             if left[i] == right[j]:
                 row[j] = below[j + 1] + 1
             else:
                 row[j] = below[j] if below[j] >= row[j + 1] else row[j + 1]
-    pairs: List[Tuple[int, int]] = []
-    i = j = 0
+    i = j = start
     while i < n and j < m:
         if left[i] == right[j]:
             pairs.append((i, j))

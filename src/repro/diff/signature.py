@@ -3,11 +3,22 @@
 Two subtrees with equal signatures are byte-identical under serialization
 (same tags, attributes, text and child order), so the matcher may anchor on
 them without further comparison.  Signatures are 64-bit integers derived
-from BLAKE2b, computed bottom-up in one postorder pass.
+from BLAKE2b, computed bottom-up in one recursive pass.
 
-Each version is signed once: :func:`document_signatures` keeps the map on
-the :class:`Document`, so the repository's whole-document signature and
-both sides of a later ``compute_delta`` read the same pass.
+Each version is signed against the previous version of its document.  A
+stored document keeps a :class:`SignatureMemo` of its current version:
+every subtree's *content key* mapped to its signature.  The key is the
+text of a text node, and for an element the bytes its signature hashes,
+which encode its tag, sorted attribute items and child signatures.
+Signing the next version looks each subtree's key up in the memo and runs
+BLAKE2b only on a miss, so a page that changed in one price hashes little
+more than that price's ancestors.  A signature is a pure function of its
+key, so a memo from any other tree can only miss, never give a wrong
+value.  Keys are ``str`` and ``bytes`` and values ``int``, none of which
+the cyclic garbage collector tracks, so a memo adds no work to its
+collections.  :func:`document_signatures` keeps the map on the
+:class:`Document`, so the repository's whole-document signature and both
+sides of a later ``compute_delta`` read the same pass.
 
 HTML pages are not warehoused by Xyleme; for them the system only keeps "the
 signature of the old page" and can merely report changed/unchanged
@@ -17,9 +28,10 @@ signature of the old page" and can merely report changed/unchanged
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from struct import Struct
+from typing import Dict, Hashable, Optional
 
-from ..xmlstore.nodes import Document, ElementNode, Node, TextNode
+from ..xmlstore.nodes import Document, Node, TextNode
 
 _HASH_BYTES = 8
 
@@ -35,39 +47,95 @@ def page_signature(content: str) -> int:
     return _digest(content.encode("utf-8", errors="replace"))
 
 
-def subtree_signatures(root: Node) -> Dict[int, int]:
+class SignatureMemo:
+    """Content key -> signature of every subtree of one version.
+
+    :func:`subtree_signatures` reads it and then replaces its entries with
+    those of the tree it signed, so it never holds more keys than that
+    tree has nodes.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: Dict[Hashable, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def subtree_signatures(
+    root: Node, memo: Optional[SignatureMemo] = None
+) -> Dict[int, int]:
     """Map ``id(node)`` -> signature for every node under ``root``.
 
-    One postorder pass; each element's signature hashes its tag, sorted
-    attributes and the ordered signatures of its children.
+    An element's signature hashes its tag, sorted attributes and the
+    ordered signatures of its children; a text node's hashes its text.
+    With a ``memo``, a subtree whose content key it holds takes the
+    memo's signature unhashed, and the memo then holds ``root``'s keys
+    in place of its old ones.
     """
     signatures: Dict[int, int] = {}
-    for node in root.postorder():
-        if isinstance(node, TextNode):
-            payload = b"T" + node.data.encode("utf-8", errors="replace")
+    known = memo.entries if memo is not None else {}
+    keys: Dict[Hashable, int] = {}
+    # Per pass: tag -> its payload head; child count -> a packer of that
+    # many child signatures, each after a zero byte.
+    heads: Dict[str, bytes] = {}
+    packers: Dict[int, Struct] = {}
+
+    def sign(node: Node) -> int:
+        if type(node) is TextNode:
+            key: Hashable = node.data
+            signature = known.get(key)
+            if signature is None:
+                signature = _digest(b"T" + node.data.encode("utf-8", errors="replace"))
         else:
-            assert isinstance(node, ElementNode)
-            parts = [b"E", node.tag.encode("utf-8")]
-            for name in sorted(node.attributes):
-                parts.append(b"A")
-                parts.append(name.encode("utf-8"))
-                parts.append(b"=")
-                parts.append(node.attributes[name].encode("utf-8"))
-            for child in node.children:
-                parts.append(signatures[id(child)].to_bytes(_HASH_BYTES, "big"))
-            payload = b"\x00".join(parts)
-        signatures[id(node)] = _digest(payload)
+            tag = node.tag  # type: ignore[attr-defined]
+            key = heads.get(tag)
+            if key is None:
+                key = heads[tag] = b"E\x00" + tag.encode("utf-8")
+            attributes = node.attributes  # type: ignore[attr-defined]
+            if attributes:
+                for name in sorted(attributes):
+                    key += b"\x00A\x00%s\x00=\x00%s" % (
+                        name.encode("utf-8"), attributes[name].encode("utf-8")
+                    )
+            children = node.children  # type: ignore[attr-defined]
+            if children:
+                count = len(children)
+                packer = packers.get(count)
+                if packer is None:
+                    packer = packers[count] = Struct(">" + "xQ" * count)
+                key += packer.pack(*map(sign, children))
+            signature = known.get(key)
+            if signature is None:
+                signature = _digest(key)
+        keys[key] = signature
+        signatures[id(node)] = signature
+        return signature
+
+    sign(root)
+    # ``sign`` holds itself through its closure: break the cycle so the
+    # pass is freed now, not by the cyclic collector.
+    del sign
+    if memo is not None:
+        memo.entries = keys
     return signatures
 
 
-def document_signatures(document: Document) -> Dict[int, int]:
-    """:func:`subtree_signatures` of ``document``, computed on first use and
-    kept on ``document.signatures`` for later calls."""
+def document_signatures(
+    document: Document, memo: Optional[SignatureMemo] = None
+) -> Dict[int, int]:
+    """:func:`subtree_signatures` of ``document`` (against ``memo``, if
+    given), computed on first use and kept on ``document.signatures`` for
+    later calls."""
     if document.signatures is None:
-        document.signatures = subtree_signatures(document.root)
+        document.signatures = subtree_signatures(document.root, memo)
     return document.signatures
 
 
-def document_signature(document: Document) -> int:
+def document_signature(
+    document: Document, memo: Optional[SignatureMemo] = None
+) -> int:
     """Signature of a whole XML document (root subtree)."""
-    return document_signatures(document)[id(document.root)]
+    return document_signatures(document, memo)[id(document.root)]

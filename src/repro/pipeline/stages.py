@@ -64,11 +64,9 @@ def feed_document(system: Any, fetch: Fetch) -> FeedResult:
     if fetch.is_xml:
         outcome = system.repository.store_xml(fetch.url, fetch.content)
         changes = None
-        if outcome.delta is not None and outcome.old_document is not None:
+        if outcome.delta is not None and outcome.touched is not None:
             start = system.metrics.now()
-            changes = classify_changes(
-                outcome.old_document, outcome.document, outcome.delta
-            )
+            changes = classify_changes(outcome.delta, outcome.touched)
             system._classify_latency.observe(system.metrics.now() - start)
         fetched = FetchedDocument(
             url=fetch.url,

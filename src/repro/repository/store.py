@@ -8,15 +8,22 @@ what a monitoring system reads most).  HTML pages are not warehoused: only
 their signature is kept, enough to answer changed/unchanged (Section 1).
 
 ``store_xml`` returns a :class:`FetchOutcome` carrying everything the
-alerter chain needs: status (new/updated/unchanged), the delta, and both
-versions.
+alerter chain needs: status (new/updated/unchanged), the delta, both
+versions, and the new-version elements the delta touches (beside the
+delta rather than in it, so the version history pins no new-version
+nodes).
 
-Each version is signed once.  A fetched page is first hashed as raw text;
-when the hash equals that of the text last stored for the URL, the page is
-unchanged and is neither parsed nor signed.  Otherwise it is parsed, and
-the subtree signatures computed for its whole-document signature stay on
-the :class:`Document`, where ``compute_delta`` reuses them now and again
-when the next version arrives.
+Each version is signed once, against the previous version.  A fetched
+page is first hashed as raw text; when the hash equals that of the text
+last stored for the URL, the page is unchanged and is neither parsed nor
+signed.  Otherwise it is parsed and signed against the stored document's
+:class:`~repro.diff.signature.SignatureMemo`, which holds the content key
+and signature of every subtree of the version signed last: only subtrees
+the memo does not hold are hashed, and the memo then holds the new
+version's.  The memo is per stored document and is not checkpointed, so a
+restored document signs its next version cold.  The subtree signatures
+stay on the :class:`Document`, where ``compute_delta`` reuses them now
+and again when the next version arrives.
 
 Each text node is tokenised once.  Its distinct words stay on the node
 (``TextNode.words``); the diff copies them onto the unchanged text of the
@@ -41,6 +48,9 @@ crash-recovery checkpoints both use them.  A version is carried as the
 text it was parsed from (serialized only when it came from no text), and
 each document keeps its encoded entry until it stores a new version, so a
 checkpoint re-encodes only the documents that changed since the last one.
+A restore rejects a version whose XIDs repeat or are not below its
+``next_xid``: the diff trusts XIDs to be unique and checks them nowhere
+else.
 """
 
 from __future__ import annotations
@@ -54,13 +64,13 @@ from ..diff import (
     DOC_UNCHANGED,
     DOC_UPDATED,
     Delta,
+    SignatureMemo,
     XidSpace,
     apply_delta,
     compute_delta,
     copy_document,
     document_signature,
     page_signature,
-    space_for,
 )
 from ..errors import DiffError, DocumentNotFound, RepositoryError
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
@@ -70,7 +80,7 @@ from ..observability.names import (
     STAGE_REPOSITORY_STORE_XML,
 )
 from ..observability.tracing import stage_histogram
-from ..xmlstore.nodes import Document
+from ..xmlstore.nodes import Document, ElementNode
 from ..xmlstore.parser import parse
 from ..xmlstore.serializer import serialize
 from .index import WarehouseIndexes
@@ -87,6 +97,8 @@ class FetchOutcome:
     document: Optional[Document] = None      # new current version (XML only)
     old_document: Optional[Document] = None  # previous version (XML, updated)
     delta: Optional[Delta] = None            # old -> new (XML, updated)
+    #: New-version elements ``delta``'s operations touch (``compute_delta``).
+    touched: Optional[List[ElementNode]] = None
 
     @property
     def is_new(self) -> bool:
@@ -114,6 +126,9 @@ class _StoredDocument:
     #: ``current`` encoded for :meth:`state_dict` (``xml``, ``xids``,
     #: ``next_xid``), kept until :meth:`set_current` stores a new version.
     _entry: Optional[Dict] = field(default=None, repr=False)
+    #: Content key -> signature of the last version signed for this URL;
+    #: the next version is signed against it.  Not checkpointed.
+    memo: SignatureMemo = field(default_factory=SignatureMemo, repr=False)
 
     def set_current(self, document: Document, text: Optional[str]) -> None:
         """Make ``document`` (parsed from ``text``, if given) the current
@@ -152,17 +167,23 @@ class _StoredDocument:
             return cls(meta=meta, current=None, xid_space=None)
         document = parse(state["xml"])
         nodes = list(document.preorder())
-        if len(nodes) != len(state["xids"]):
+        xids, next_xid = state["xids"], state["next_xid"]
+        if len(nodes) != len(xids):
             raise RepositoryError(
                 f"saved state of {meta.url} is corrupt: XID list does not"
                 " match the node count"
             )
-        for node, xid in zip(nodes, state["xids"]):
+        if len(set(xids)) != len(xids) or not all(
+            type(xid) is int and 0 < xid < next_xid for xid in xids
+        ):
+            raise RepositoryError(
+                f"saved state of {meta.url} is corrupt: XIDs repeat or are"
+                f" not below next_xid {next_xid}"
+            )
+        for node, xid in zip(nodes, xids):
             node.xid = xid
         stored = cls(
-            meta=meta,
-            current=None,
-            xid_space=space_for(document, state["next_xid"]),
+            meta=meta, current=None, xid_space=XidSpace(first_xid=next_xid)
         )
         stored.set_current(document, state["xml"])
         return stored
@@ -251,11 +272,14 @@ class Repository:
             )
         assert stored.current is not None and stored.xid_space is not None
         stored.meta.last_accessed = now
-        new_signature = document_signature(document)
+        new_signature = document_signature(document, stored.memo)
         if new_signature == stored.meta.signature:
             return self._same_tree(stored, document, now)
+        touched: List[ElementNode] = []
         try:
-            delta = compute_delta(stored.current, document, stored.xid_space)
+            delta = compute_delta(
+                stored.current, document, stored.xid_space, touched
+            )
         except DiffError:
             # Root element changed: restart the lineage (same doc id).
             return self._restart_lineage(
@@ -281,6 +305,7 @@ class Repository:
             document=document,
             old_document=old_document,
             delta=delta,
+            touched=touched,
         )
 
     def _same_tree(
@@ -316,18 +341,21 @@ class Repository:
         self._next_doc_id += 1
         xid_space = XidSpace()
         xid_space.assign_fresh(document.root)
+        memo = SignatureMemo()
         meta = DocumentMeta(
             doc_id=doc_id,
             url=url,
             kind=XML,
             last_accessed=now,
             last_updated=now,
-            signature=document_signature(document),
+            signature=document_signature(document, memo),
             version=1,
         )
         self._record_dtd(meta, document)
         meta.domain = self.classifier.classify(document)
-        stored = _StoredDocument(meta=meta, current=None, xid_space=xid_space)
+        stored = _StoredDocument(
+            meta=meta, current=None, xid_space=xid_space, memo=memo
+        )
         stored.set_current(document, text)
         self._by_url[url] = doc_id
         self._docs[doc_id] = stored

@@ -3,7 +3,13 @@ import pytest
 from repro.alerters import XMLAlerter
 from repro.alerters.context import FetchedDocument
 from repro.core import AtomicEventKey
-from repro.diff import DOC_NEW, DOC_UPDATED, XidSpace, classify_changes, compute_delta
+from repro.diff import (
+    DOC_NEW,
+    DOC_UPDATED,
+    XidSpace,
+    classify_changes,
+    compute_delta,
+)
 from repro.repository import DocumentMeta
 from repro.xmlstore import parse
 
@@ -27,8 +33,9 @@ def fetched_with_changes(old_source, new_source):
     new = parse(new_source)
     space = XidSpace()
     space.assign_fresh(old.root)
-    delta = compute_delta(old, new, space)
-    changes = classify_changes(old, new, delta)
+    touched = []
+    delta = compute_delta(old, new, space, touched)
+    changes = classify_changes(delta, touched)
     return FetchedDocument(
         url="http://x/a.xml",
         meta=DocumentMeta(doc_id=1, url="http://x/a.xml"),

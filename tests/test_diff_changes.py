@@ -14,8 +14,9 @@ def changed(old_source, new_source):
     new = parse(new_source)
     space = XidSpace()
     space.assign_fresh(old.root)
-    delta = compute_delta(old, new, space)
-    return classify_changes(old, new, delta), delta
+    touched = []
+    delta = compute_delta(old, new, space, touched)
+    return classify_changes(delta, touched), delta
 
 
 class TestNewElements:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.diff import XidSpace, compute_delta
+from repro.diff.matching import _lcs_pairs
 from repro.errors import DiffError
 from repro.xmlstore import parse, serialize
 
@@ -146,3 +148,39 @@ class TestDeltaXML:
         parsed = parse(delta.to_xml())
         kinds = [child.tag for child in parsed.root.children]
         assert "inserted" in kinds and "updated" in kinds
+
+
+def _reference_lcs_pairs(left, right):
+    """The full-table LCS ``_lcs_pairs`` computes, without its shortcut
+    for a common prefix."""
+    n, m = len(left), len(right)
+    lengths = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if left[i] == right[j]:
+                lengths[i][j] = lengths[i + 1][j + 1] + 1
+            else:
+                lengths[i][j] = max(lengths[i + 1][j], lengths[i][j + 1])
+    pairs = []
+    i = j = 0
+    while i < n and j < m:
+        if left[i] == right[j]:
+            pairs.append((i, j))
+            i += 1
+            j += 1
+        elif lengths[i + 1][j] >= lengths[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefix=st.lists(st.integers(0, 3), max_size=6),
+    left=st.lists(st.integers(0, 3), max_size=8),
+    right=st.lists(st.integers(0, 3), max_size=8),
+)
+def test_lcs_pairs_equal_the_full_table(prefix, left, right):
+    left, right = prefix + left, prefix + right
+    assert _lcs_pairs(left, right) == _reference_lcs_pairs(left, right)

@@ -1,12 +1,18 @@
+import pytest
+
 import repro.diff.signature as signature_module
+import repro.repository.store as store_module
 from repro.diff import XidSpace, apply_delta, compute_delta, copy_document
 from repro.diff.signature import (
+    SignatureMemo,
     document_signature,
     document_signatures,
     page_signature,
     subtree_signatures,
 )
-from repro.webworld import SiteGenerator
+from repro.errors import RepositoryError
+from repro.repository import Repository
+from repro.webworld import ChangeModel, SiteGenerator
 from repro.xmlstore import parse, serialize
 
 
@@ -105,7 +111,7 @@ class TestSignatureCache:
         monkeypatch.setattr(
             signature_module,
             "subtree_signatures",
-            lambda root: passes.append(root) or original(root),
+            lambda root, memo=None: passes.append(root) or original(root, memo),
         )
         signatures = document_signatures(document)
         assert document.signatures is signatures
@@ -125,7 +131,7 @@ class TestSignatureCache:
         monkeypatch.setattr(
             signature_module,
             "subtree_signatures",
-            lambda root: passes.append(root) or original(root),
+            lambda root, memo=None: passes.append(root) or original(root, memo),
         )
         delta = compute_delta(old, new, XidSpace(first_xid=100))
         assert passes == []
@@ -148,3 +154,129 @@ class TestSignatureCache:
         assert parse("<r/>").signatures is None
         assert copy_document(signed).signatures is None
         assert apply_delta(signed, delta).signatures is None
+
+
+GOLDEN_SOURCE = (
+    '<catalog k="v" a="b"><Product id="1"><name>camera</name>'
+    "<price>9.50</price></Product>tail</catalog>"
+)
+GOLDEN_SIGNATURE = 7179689330428373030
+
+
+def memo_of(*sources):
+    """A memo last filled by signing each of ``sources`` in turn."""
+    memo = SignatureMemo()
+    for source in sources:
+        subtree_signatures(parse(source).root, memo)
+    return memo
+
+
+class TestSignatureMemo:
+    """Signing against a memo gives the from-scratch values whatever tree
+    filled the memo: a key fixes its signature, so a stale or foreign
+    entry can only miss."""
+
+    def test_memo_signing_equals_signing_from_scratch_along_a_chain(self):
+        change_model = ChangeModel(seed=3)
+        page = SiteGenerator(seed=3).catalog(products=6)
+        memo = SignatureMemo()
+        for _ in range(8):
+            document = parse(serialize(page))
+            assert subtree_signatures(document.root, memo) == subtree_signatures(
+                document.root
+            )
+            page = change_model.mutate(page)
+
+    def test_golden_values_hold_with_foreign_memos(self):
+        catalog = serialize(SiteGenerator(seed=7).catalog(products=5))
+        for memo in (
+            SignatureMemo(),
+            memo_of(catalog),
+            memo_of("<catalog><name>camera</name>tail</catalog>"),
+            memo_of(GOLDEN_SOURCE, "<other>page</other>"),
+            memo_of(GOLDEN_SOURCE.replace("9.50", "9.75")),
+        ):
+            document = parse(GOLDEN_SOURCE)
+            assert document_signature(document, memo) == GOLDEN_SIGNATURE
+            assert document.signatures == subtree_signatures(document.root)
+            generated = parse(catalog)
+            assert document_signature(generated, memo) == 5083823626462614081
+
+    def test_near_misses_in_the_memo_do_not_hit(self):
+        for stored, signed in (
+            ('<r><p id="1">x</p></r>', '<r><p id="2">x</p></r>'),
+            ('<r><p id="1">x</p></r>', '<r><p di="1">x</p></r>'),
+            ('<r><p id="1">x</p></r>', '<r><p>x</p></r>'),
+            ('<r><p a="1" b="2"/></r>', '<r><p a="2" b="1"/></r>'),
+            ("<r><p>x</p></r>", "<r><q>x</q></r>"),
+            ("<r><p/><q/></r>", "<r><q/><p/></r>"),
+            ("<r><p>x</p></r>", "<r><p>x </p></r>"),
+            ("<r><p>x</p>y</r>", "<r><p>y</p>x</r>"),
+        ):
+            memo = memo_of(stored)
+            document = parse(signed)
+            assert subtree_signatures(document.root, memo) == subtree_signatures(
+                document.root
+            ), (stored, signed)
+
+    def test_memo_from_a_rejected_version_is_sound(
+        self, classifier, clock, monkeypatch
+    ):
+        # The memo is refreshed when a version is signed, before the
+        # repository decides to keep it: a page rejected after signing
+        # leaves a memo of a version that was never stored.
+        repository = Repository(classifier=classifier, clock=clock)
+        url = "http://x/a.xml"
+        repository.store_xml(url, GOLDEN_SOURCE)
+        rejected = GOLDEN_SOURCE.replace("camera", "lens")
+
+        def reject(*args):
+            raise RepositoryError("rejected after signing")
+
+        monkeypatch.setattr(store_module, "compute_delta", reject)
+        with pytest.raises(RepositoryError):
+            repository.store_xml(url, rejected)
+        monkeypatch.undo()
+        (stored,) = repository._docs.values()
+        assert len(stored.memo) == len(list(parse(rejected).preorder()))
+        assert stored.meta.signature == GOLDEN_SIGNATURE
+        outcome = repository.store_xml(url, GOLDEN_SOURCE.replace("9.50", "9.75"))
+        assert outcome.document.signatures == subtree_signatures(
+            outcome.document.root
+        )
+        assert [op.new_text for op in outcome.delta.text_updates] == ["9.75"]
+        outcome = repository.store_xml(url, GOLDEN_SOURCE)
+        assert outcome.meta.signature == GOLDEN_SIGNATURE
+
+    def test_memo_holds_only_the_last_signed_version(self):
+        memo = memo_of(GOLDEN_SOURCE)
+        assert len(memo) == len(list(parse(GOLDEN_SOURCE).preorder()))
+        memo_of_small = memo_of(GOLDEN_SOURCE, "<r>x</r>")
+        assert len(memo_of_small) == 2
+
+    def test_repository_memo_stays_within_the_current_version(
+        self, classifier, clock
+    ):
+        repository = Repository(classifier=classifier, clock=clock)
+        url = "http://www.shop.example/catalog.xml"
+        change_model = ChangeModel(seed=11)
+        page = SiteGenerator(seed=11).catalog(products=8)
+        for _ in range(12):
+            clock.advance(60)
+            outcome = repository.store_xml(url, serialize(page))
+            stored = repository._docs[outcome.meta.doc_id]
+            assert 0 < len(stored.memo) <= len(list(stored.current.preorder()))
+            page = change_model.mutate(page)
+
+    def test_memo_is_per_document_and_not_checkpointed(self, classifier, clock):
+        repository = Repository(classifier=classifier, clock=clock)
+        repository.store_xml("http://x/a.xml", GOLDEN_SOURCE)
+        repository.store_xml("http://x/b.xml", GOLDEN_SOURCE)
+        first, second = repository._docs.values()
+        assert first.memo is not second.memo
+        assert len(first.memo) == len(second.memo) > 0
+        for entry in repository.state_dict()["documents"]:
+            assert set(entry) == {"meta", "xml", "xids", "next_xid"}
+        twin = Repository(classifier=classifier, clock=clock)
+        twin.restore_state(repository.state_dict())
+        assert [len(stored.memo) for stored in twin._docs.values()] == [0, 0]

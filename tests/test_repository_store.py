@@ -5,6 +5,7 @@ from repro.clock import SimulatedClock
 from repro.diff import DOC_NEW, DOC_UNCHANGED, DOC_UPDATED
 from repro.errors import DocumentNotFound, RepositoryError, XMLSyntaxError
 from repro.pipeline import Fetch, SubscriptionSystem
+from repro.repository import Repository
 from repro.xmlstore import parse, serialize
 
 
@@ -278,6 +279,47 @@ class TestLookupsAndRemoval:
         repository.store_xml("http://x/a.xml", "<r/>")
         repository.add_importance("http://x/a.xml", 2.5)
         assert repository.meta_for_url("http://x/a.xml").importance == 3.5
+
+
+class TestRestoreChecksXids:
+    """The diff trusts a version's XIDs to be unique and below the next
+    XID to allocate, so a restore checks both before taking a version."""
+
+    URL = "http://x/a.xml"
+
+    def state_with(self, repository, xids, next_xid):
+        repository.store_xml(self.URL, "<r><a>x</a><b>y</b></r>")
+        state = repository.state_dict()
+        (entry,) = state["documents"]
+        assert entry["xids"] == [1, 2, 3, 4, 5] and entry["next_xid"] == 6
+        return dict(state, documents=[dict(entry, xids=xids, next_xid=next_xid)])
+
+    def test_repeated_xids_are_rejected(self, repository, clock):
+        state = self.state_with(repository, [1, 2, 3, 2, 3], 6)
+        with pytest.raises(RepositoryError, match="XIDs repeat"):
+            Repository(clock=clock).restore_state(state)
+
+    def test_xid_not_below_next_xid_is_rejected(self, repository, clock):
+        state = self.state_with(repository, [1, 2, 3, 4, 5], 5)
+        with pytest.raises(RepositoryError, match="not below next_xid 5"):
+            Repository(clock=clock).restore_state(state)
+
+    def test_missing_xid_is_rejected(self, repository, clock):
+        state = self.state_with(repository, [1, 2, None, 4, 5], 6)
+        with pytest.raises(RepositoryError, match="corrupt"):
+            Repository(clock=clock).restore_state(state)
+
+    def test_sound_xids_restore_and_diff(self, repository, clock):
+        state = self.state_with(repository, [2, 3, 5, 7, 11], 12)
+        twin = Repository(clock=clock)
+        twin.restore_state(state)
+        clock.advance(60)
+        outcome = twin.store_xml(self.URL, "<r><a>x</a><b>z</b><c/></r>")
+        assert outcome.status == DOC_UPDATED
+        assert [update.xid for update in outcome.delta.text_updates] == [11]
+        assert [node.xid for node in outcome.document.preorder()] == [
+            2, 3, 5, 7, 11, 12,
+        ]
 
 
 A_DTD = "http://a/a.dtd"
