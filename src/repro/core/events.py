@@ -94,9 +94,6 @@ class EventRegistry:
     def atomic_count(self) -> int:
         return len(self._atomic)
 
-    def atomic_keys(self) -> Iterable[AtomicEventKey]:
-        return list(self._atomic)  # type: ignore[return-value]
-
     # -- complex events -------------------------------------------------------
 
     def register_complex(self, keys: Iterable[AtomicEventKey]) -> ComplexEvent:

@@ -30,7 +30,7 @@ from ..observability.names import (
     STAGE_MQP_PROCESS_ALERT,
 )
 from ..observability.tracing import stage_histogram
-from .aes import AESMatcher, sort_event_set
+from .aes import AESMatcher
 from .events import AtomicEventKey, ComplexEvent, EventRegistry
 from .stats import ProcessorStats
 
@@ -142,15 +142,7 @@ class MonitoringQueryProcessor:
             for sink in self._sinks:
                 sink(notifications)
 
-    def match_codes(self, event_codes: Sequence[int]) -> List[int]:
-        """Bare matching (no sinks, no stats) — used by benchmarks."""
-        return self.matcher.match(event_codes)
-
     # -- introspection -----------------------------------------------------------
 
     def structure_stats(self) -> Dict[str, int]:
         return self.matcher.structure_stats()
-
-    @staticmethod
-    def canonical_event_set(event_codes: Iterable[int]) -> List[int]:
-        return sort_event_set(event_codes)

@@ -204,9 +204,3 @@ class Subscription:
     report: Optional[ReportSpec] = None
     refreshes: Tuple[RefreshStatement, ...] = ()
     virtuals: Tuple[VirtualReference, ...] = ()
-
-    def monitoring_by_name(self, name: str) -> Optional[MonitoringQuery]:
-        for query in self.monitoring:
-            if query.name == name:
-                return query
-        return None

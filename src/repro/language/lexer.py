@@ -10,8 +10,8 @@ embedded warehouse-query text verbatim out of the subscription source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import re
+from typing import List, NamedTuple
 
 from ..errors import SubscriptionSyntaxError
 
@@ -22,14 +22,33 @@ CMP = "cmp"
 PUNCT = "punct"
 TEMPLATE = "template"
 
-_COMPARATORS = ("<=", ">=", "!=", "=", "<", ">")
-#: ``@`` and ``*`` appear inside embedded warehouse-query text (report and
-#: continuous queries), which the subscription lexer passes through.
-_PUNCT_CHARS = ",.()@*"
+#: Blanks and ``%`` comments, then one alternative per token kind; the
+#: group name is the kind.  ``@`` and ``*`` appear inside embedded
+#: warehouse-query text (report and continuous queries), which the
+#: subscription lexer passes through.  A word starts with a letter, ``_``
+#: or ``/`` and may hold ``- : /`` (``self//Member``).  A number's ``.``
+#: must be followed by a digit, so ``100.count`` is NUMBER PUNCT WORD.
+#: ``stop`` is the end of the input or a character no token starts with.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:[ \t\r\n]|%[^\n]*)*
+    (?:
+      (?P<cmp><=|>=|!=|=|<|>)
+    | (?P<string>"[^"]*"|'[^']*')
+    | (?P<punct>[,.()@*])
+    | (?P<number>\d+(?:\.\d+)*)
+    | (?P<word>(?:[^\W\d]|/)[\w:/-]*)
+    | (?P<stop>\Z|.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+#: What the ``select`` template scanner looks at: quoted text, then a lone
+#: (unterminated) quote, closing tags, self-closing ends, openings and ends.
+_TEMPLATE_MARK_RE = re.compile(r""""[^"]*"|'[^']*'|["']|</|/>|<|>""")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -38,158 +57,62 @@ class Token:
     end: int
 
 
-class Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            token = self._next_token(
-                template_ok=bool(out)
-                and out[-1].kind == WORD
-                and out[-1].value == "select"
-            )
-            if token is None:
-                return out
-            out.append(token)
-
-    # -- internals -----------------------------------------------------------
-
-    def _error(self, message: str) -> SubscriptionSyntaxError:
-        return SubscriptionSyntaxError(message, self._line, self._column)
-
-    def _advance(self, count: int) -> str:
-        chunk = self.source[self._pos : self._pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return chunk
-
-    def _skip_blank(self) -> None:
-        while self._pos < len(self.source):
-            ch = self.source[self._pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "%":
-                end = self.source.find("\n", self._pos)
-                if end == -1:
-                    end = len(self.source)
-                self._advance(end - self._pos)
-            else:
-                return
-
-    def _next_token(self, template_ok: bool) -> Optional[Token]:
-        self._skip_blank()
-        if self._pos >= len(self.source):
-            return None
-        line, column, start = self._line, self._column, self._pos
-        ch = self.source[self._pos]
-
-        if ch == "<" and template_ok:
-            value = self._read_template()
-            return Token(TEMPLATE, value, line, column, start, self._pos)
-
-        for comparator in _COMPARATORS:
-            if self.source.startswith(comparator, self._pos):
-                self._advance(len(comparator))
-                return Token(CMP, comparator, line, column, start, self._pos)
-
-        if ch in "\"'":
-            value = self._read_string()
-            return Token(STRING, value, line, column, start, self._pos)
-
-        if ch in _PUNCT_CHARS:
-            self._advance(1)
-            return Token(PUNCT, ch, line, column, start, self._pos)
-
-        if ch.isdigit():
-            value = self._read_number()
-            return Token(NUMBER, value, line, column, start, self._pos)
-
-        if ch.isalpha() or ch in "_/":
-            value = self._read_word()
-            return Token(WORD, value, line, column, start, self._pos)
-
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _read_string(self) -> str:
-        quote = self.source[self._pos]
-        self._advance(1)
-        end = self.source.find(quote, self._pos)
-        if end == -1:
-            raise self._error("unterminated string literal")
-        value = self.source[self._pos : end]
-        self._advance(end - self._pos + 1)
-        return value
-
-    def _read_number(self) -> str:
-        start = self._pos
-        while self._pos < len(self.source) and (
-            self.source[self._pos].isdigit() or self.source[self._pos] == "."
-        ):
-            # A trailing dot is punctuation (e.g. "Sub.Query"), not decimal.
-            if self.source[self._pos] == "." and not (
-                self._pos + 1 < len(self.source)
-                and self.source[self._pos + 1].isdigit()
-            ):
-                break
-            self._advance(1)
-        return self.source[start : self._pos]
-
-    def _read_word(self) -> str:
-        start = self._pos
-        while self._pos < len(self.source) and (
-            self.source[self._pos].isalnum()
-            or self.source[self._pos] in "_-:/"
-        ):
-            self._advance(1)
-        return self.source[start : self._pos]
-
-    def _read_template(self) -> str:
-        """Capture a balanced XML snippet starting at ``<``.
-
-        Handles self-closing elements and nested same-name elements; string
-        attribute values may contain angle brackets.
-        """
-        start = self._pos
-        depth = 0
-        in_quote: Optional[str] = None
-        while self._pos < len(self.source):
-            ch = self.source[self._pos]
-            if in_quote is not None:
-                if ch == in_quote:
-                    in_quote = None
-                self._advance(1)
-                continue
-            if ch in "\"'":
-                in_quote = ch
-                self._advance(1)
-                continue
-            if ch == "<":
-                if self.source.startswith("</", self._pos):
-                    depth -= 1
-                else:
-                    depth += 1
-                self._advance(1)
-                continue
-            if ch == ">":
-                if self.source[self._pos - 1] == "/":
-                    depth -= 1  # self-closing tag
-                self._advance(1)
-                if depth == 0:
-                    return self.source[start : self._pos]
-                continue
-            self._advance(1)
-        raise self._error("unterminated XML template in select clause")
-
-
 def tokenize(source: str) -> List[Token]:
-    return Lexer(source).tokens()
+    tokens: List[Token] = []
+    match_token = _TOKEN_RE.match
+    line, line_start = 1, 0
+    pos = counted = 0  # newlines before ``counted`` are in ``line``
+    after_select = False
+    while True:
+        match = match_token(source, pos)
+        kind = match.lastgroup
+        start = match.start(kind)
+        # Only blanks, strings and templates hold newlines.
+        newlines = source.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        if kind == "stop":
+            if start == len(source):
+                return tokens
+            char = source[start]
+            if char in "\"'":
+                raise SubscriptionSyntaxError(
+                    "unterminated string literal", line, column + 1
+                )
+            raise SubscriptionSyntaxError(
+                f"unexpected character {char!r}", line, column
+            )
+        pos = match.end()
+        if after_select and source[start] == "<":
+            kind, pos = TEMPLATE, _template_end(source, start)
+        value = source[start:pos]
+        if kind == STRING:
+            value = value[1:-1]
+        tokens.append(Token(kind, value, line, column, start, pos))
+        after_select = kind == WORD and value == "select"
+
+
+def _template_end(source: str, start: int) -> int:
+    """The end of the balanced XML snippet opened at ``start`` (nested and
+    self-closing elements; quoted text may hold angle brackets)."""
+    depth, pos = 0, start
+    mark = _TEMPLATE_MARK_RE.search(source, pos)
+    while mark is not None and mark.group() not in ("'", '"'):
+        text, pos = mark.group(), mark.end()
+        if text == "<":
+            depth += 1
+        elif text == "</":
+            depth, pos = depth - 1, pos - 1  # its "/" may start a "/>"
+        elif text == "/>":
+            depth -= 1
+        if depth == 0 and text in (">", "/>"):
+            return pos
+        mark = _TEMPLATE_MARK_RE.search(source, pos)
+    raise SubscriptionSyntaxError(  # at the end of the input
+        "unterminated XML template in select clause",
+        source.count("\n") + 1,
+        len(source) - source.rfind("\n"),
+    )

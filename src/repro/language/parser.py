@@ -9,6 +9,9 @@ only locates their boundaries.
 from __future__ import annotations
 
 import calendar
+import datetime
+import math
+import re
 from typing import List, Optional
 
 from ..errors import SubscriptionSyntaxError
@@ -45,10 +48,8 @@ from .ast import (
 from .frequencies import FREQUENCY_WORDS
 from .lexer import CMP, NUMBER, PUNCT, STRING, TEMPLATE, WORD, Token, tokenize
 
-_SECTION_KEYWORDS = frozenset(
-    {"subscription", "monitoring", "continuous", "report", "refresh",
-     "virtual"}
-)
+#: An ISO date in ASCII digits; ``_parse_date`` checks it is a real day.
+_ISO_DATE = re.compile(r"([0-9]+)-([0-9]+)-([0-9]+)")
 #: ``modified`` is the paper's synonym for ``updated`` ("and modified self").
 _CHANGE_WORDS = dict(
     {kind: kind for kind in CHANGE_KINDS}, modified=KIND_UPDATED
@@ -73,13 +74,6 @@ class _Tokens:
             raise SubscriptionSyntaxError("unexpected end of subscription")
         self._index += 1
         return token
-
-    def at_section(self) -> bool:
-        token = self.peek()
-        return (
-            token is None
-            or (token.kind == WORD and token.value in _SECTION_KEYWORDS)
-        )
 
     def accept_word(self, *words: str) -> Optional[Token]:
         token = self.peek()
@@ -262,12 +256,12 @@ def _parse_condition(
         return AtomicCondition(kind=DTD_EQ, string=value)
     if word == "DTDID":
         _expect_cmp(stream, "=")
-        value = stream.expect_kind(NUMBER, "a DTD id").value
-        return AtomicCondition(kind=DTDID_EQ, number=float(value))
+        number = stream.expect_kind(NUMBER, "a DTD id")
+        return AtomicCondition(kind=DTDID_EQ, number=_number(number))
     if word == "DOCID":
         _expect_cmp(stream, "=")
-        value = stream.expect_kind(NUMBER, "a document id").value
-        return AtomicCondition(kind=DOCID_EQ, number=float(value))
+        number = stream.expect_kind(NUMBER, "a document id")
+        return AtomicCondition(kind=DOCID_EQ, number=_number(number))
     if word == "domain":
         _expect_cmp(stream, "=")
         value = stream.expect_kind(STRING, "a domain name").value
@@ -331,15 +325,32 @@ def _expect_cmp(stream: _Tokens, expected: str) -> None:
         )
 
 
+def _number(token: Token) -> float:
+    """The value of a NUMBER token, which may still be no finite number
+    (``1.2.3``, or more digits than a float holds)."""
+    try:
+        value = float(token.value)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SubscriptionSyntaxError(
+            f"malformed number {token.value!r}", token.line, token.column
+        )
+    return value
+
+
 def _parse_date(token: Token) -> float:
     """Accept epoch seconds or an ISO date (``2001-05-21``), as UTC."""
     if token.kind == NUMBER:
-        return float(token.value)
-    if token.kind == STRING:
-        parts = token.value.split("-")
-        if len(parts) == 3 and all(part.isdigit() for part in parts):
-            year, month, day = (int(part) for part in parts)
-            return float(calendar.timegm((year, month, day, 0, 0, 0)))
+        return _number(token)
+    match = _ISO_DATE.fullmatch(token.value)
+    if token.kind == STRING and match:
+        try:
+            day = datetime.date(*(int(part) for part in match.groups()))
+        except (ValueError, OverflowError):  # no such day, e.g. 2001-02-30
+            pass
+        else:
+            return float(calendar.timegm(day.timetuple()))
     raise SubscriptionSyntaxError(
         f"expected a date, found {token.value!r}", token.line, token.column
     )
@@ -417,7 +428,7 @@ def _parse_report(stream: _Tokens) -> ReportSpec:
         if stream.accept_word("atmost"):
             token = stream.next()
             if token.kind == NUMBER:
-                atmost_count = int(float(token.value))
+                atmost_count = int(_number(token))
             elif token.kind == WORD and token.value in FREQUENCY_WORDS:
                 atmost_frequency = token.value
             else:
@@ -499,7 +510,7 @@ def _parse_count_tail(stream: _Tokens, query_name: Optional[str]):
             cmp_token.column,
         )
     number = stream.expect_kind(NUMBER, "a count")
-    threshold = int(float(number.value))
+    threshold = int(_number(number))
     if cmp_token.value == ">":
         # "count > 100" fires at 101 gathered notifications.
         threshold += 1

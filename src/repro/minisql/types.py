@@ -9,7 +9,7 @@ value validation/coercion, and :class:`TableSchema`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import SchemaError
 
@@ -113,9 +113,6 @@ class TableSchema:
             raise SchemaError(
                 f"no column {name!r} in table {self.name!r}"
             ) from None
-
-    def column_names(self) -> List[str]:
-        return [column.name for column in self.columns]
 
     def validate_row(self, row: Dict[str, Any]) -> Dict[str, Any]:
         """Return a full, coerced row dict (missing columns become NULL)."""

@@ -216,14 +216,6 @@ class MetricsRegistry:
             if split_key(key)[0] == name
         )
 
-    def histogram_total(self, name: str) -> int:
-        """Sum of one histogram's observation count across label sets."""
-        return sum(
-            histogram.count
-            for key, histogram in self._histograms.items()
-            if split_key(key)[0] == name
-        )
-
 
 class _NullCounter(Counter):
     __slots__ = ()

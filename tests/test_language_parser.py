@@ -251,3 +251,49 @@ class TestSyntaxErrors:
     def test_rejected(self, source):
         with pytest.raises(SubscriptionSyntaxError):
             parse_subscription(source)
+
+
+class TestBadLiterals:
+    """Malformed numbers and dates are syntax errors at their token, never
+    a bare ``ValueError`` out of ``float``, ``int`` or the calendar."""
+
+    WHERE = (
+        "subscription T\nmonitoring\nselect X\nfrom self//a X\n"
+        "where {}\nreport when immediate"
+    )
+    REPORT = (
+        "subscription T\nmonitoring\nselect X\nfrom self//a X\n"
+        'where URL = "http://u/"\nreport when {}'
+    )
+
+    @pytest.mark.parametrize(
+        "source, line, column",
+        [
+            pytest.param(WHERE.format("DOCID = 1.2.3"), 5, 15, id="docid-1.2.3"),
+            pytest.param(WHERE.format("DTDID = ²"), 5, 15, id="dtdid-superscript"),
+            pytest.param(REPORT.format("count >= ²"), 6, 22, id="count-superscript"),
+            pytest.param(
+                WHERE.format('LastUpdate > "2001-13-45"'), 5, 20, id="month-13"
+            ),
+            pytest.param(
+                WHERE.format('LastUpdate > "20011-05-21"'), 5, 20, id="year-20011"
+            ),
+            pytest.param(
+                WHERE.format('LastUpdate > "2001-02-30"'), 5, 20, id="february-30"
+            ),
+            pytest.param(
+                REPORT.format("immediate atmost " + "9" * 400), 6, 30,
+                id="atmost-overflow",
+            ),
+        ],
+    )
+    def test_rejected_at_the_literal(self, source, line, column):
+        with pytest.raises(SubscriptionSyntaxError) as caught:
+            parse_subscription(source)
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_real_dates_still_parse(self):
+        subscription = parse_subscription(
+            self.WHERE.format('LastUpdate > "2000-02-29"')
+        )
+        assert subscription.monitoring[0].conditions[0].number == 951782400.0
