@@ -150,7 +150,11 @@ class XMLAlerter(Alerter):
         data: Dict[int, Any] = {}
         if fetched.document is None:
             return codes, data
-        self._walk(fetched.document.root, codes)
+        # With no word and no tag-presence condition the walk cannot add a
+        # code: ``_self_words``, ``_contains`` and ``_strict`` all feed
+        # ``_interesting_words``.
+        if self._interesting_words or self._present:
+            self._walk(fetched.document.root, codes)
         self._detect_changes(fetched, codes, data)
         return codes, data
 

@@ -27,7 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..xmlstore.nodes import Document, ElementNode, Node, TextNode
+from ..xmlstore.nodes import (
+    Document,
+    ElementNode,
+    Node,
+    TextNode,
+    new_element,
+    new_text,
+)
 from ..xmlstore.serializer import serialize
 
 
@@ -123,7 +130,7 @@ class Delta:
                 parent=str(delete.parent_xid),
                 position=str(delete.position),
             )
-            element.append(_copy_subtree(delete.subtree))
+            _copy_subtree(delete.subtree, element)
         for insert in self.inserts:
             element = root.make_child(
                 "inserted",
@@ -131,7 +138,7 @@ class Delta:
                 parent=str(insert.parent_xid),
                 position=str(insert.position),
             )
-            element.append(_copy_subtree(insert.subtree))
+            _copy_subtree(insert.subtree, element)
         for update in self.text_updates:
             root.make_child(
                 "updated",
@@ -156,7 +163,12 @@ class Delta:
     # -- inversion ---------------------------------------------------------
 
     def inverted(self) -> "Delta":
-        """The delta that maps the new version back onto the old one."""
+        """The delta that maps the new version back onto the old one.
+
+        Its op subtrees are copies: a diff's own subtrees still hang in
+        their version trees, and a version history holding them through
+        their ``parent`` chains would keep each whole old version alive.
+        """
         inverse = Delta()
         # Inserts become deletes and vice versa; apply order is preserved by
         # construction (Delta always applies deletes before inserts).
@@ -166,7 +178,7 @@ class Delta:
                     xid=insert.xid,
                     parent_xid=insert.parent_xid,
                     position=insert.position,
-                    subtree=insert.subtree,
+                    subtree=_copy_subtree(insert.subtree),
                 )
             )
         # Deletes were recorded bottom-up/right-to-left against the *old*
@@ -177,7 +189,7 @@ class Delta:
                 InsertOp(
                     parent_xid=delete.parent_xid,
                     position=delete.position,
-                    subtree=delete.subtree,
+                    subtree=_copy_subtree(delete.subtree),
                 )
             )
         for update in self.text_updates:
@@ -201,18 +213,19 @@ class Delta:
         return inverse
 
 
-def _copy_subtree(node: Node) -> Node:
-    """Deep copy of a subtree, preserving XIDs."""
+def _copy_subtree(node: Node, parent: Optional[ElementNode] = None) -> Node:
+    """Deep copy of a subtree, preserving XIDs, appended to ``parent``.
+
+    The copy's root has no parent unless one is given, so it pins nothing
+    of the tree it was copied from.
+    """
     if isinstance(node, TextNode):
-        copy = TextNode(node.data)
-        copy.xid = node.xid
-        return copy
+        return new_text(parent, node.data, node.xid)
     assert isinstance(node, ElementNode)
-    copy_element = ElementNode(node.tag, dict(node.attributes))
-    copy_element.xid = node.xid
+    copy = new_element(parent, node.tag, dict(node.attributes), node.xid)
     for child in node.children:
-        copy_element.append(_copy_subtree(child))
-    return copy_element
+        _copy_subtree(child, copy)
+    return copy
 
 
 def copy_document(document: Document) -> Document:

@@ -43,9 +43,12 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-#: What the ``select`` template scanner looks at: quoted text, then a lone
-#: (unterminated) quote, closing tags, self-closing ends, openings and ends.
-_TEMPLATE_MARK_RE = re.compile(r""""[^"]*"|'[^']*'|["']|</|/>|<|>""")
+#: What the ``select`` template scanner looks at in element text: closing
+#: tags, self-closing ends, openings and ends.  Quotes there are plain text.
+_TEXT_MARK_RE = re.compile(r"</|/>|<|>")
+#: The same inside a tag, where attribute values may be quoted: quoted text
+#: first, then a lone (unterminated) quote.
+_TAG_MARK_RE = re.compile(r""""[^"]*"|'[^']*'|["']|</|/>|<|>""")
 
 
 class Token(NamedTuple):
@@ -97,20 +100,23 @@ def tokenize(source: str) -> List[Token]:
 
 def _template_end(source: str, start: int) -> int:
     """The end of the balanced XML snippet opened at ``start`` (nested and
-    self-closing elements; quoted text may hold angle brackets)."""
-    depth, pos = 0, start
-    mark = _TEMPLATE_MARK_RE.search(source, pos)
+    self-closing elements; a quoted attribute value may hold angle brackets,
+    while a quote in element text is just text)."""
+    depth, pos, in_tag = 0, start, True
+    mark = _TAG_MARK_RE.search(source, pos)
     while mark is not None and mark.group() not in ("'", '"'):
         text, pos = mark.group(), mark.end()
         if text == "<":
-            depth += 1
+            depth, in_tag = depth + 1, True
         elif text == "</":
-            depth, pos = depth - 1, pos - 1  # its "/" may start a "/>"
+            depth, pos, in_tag = depth - 1, pos - 1, True  # "/" may start "/>"
         elif text == "/>":
-            depth -= 1
+            depth, in_tag = depth - 1, False
+        elif text == ">":
+            in_tag = False
         if depth == 0 and text in (">", "/>"):
             return pos
-        mark = _TEMPLATE_MARK_RE.search(source, pos)
+        mark = (_TAG_MARK_RE if in_tag else _TEXT_MARK_RE).search(source, pos)
     raise SubscriptionSyntaxError(  # at the end of the input
         "unterminated XML template in select clause",
         source.count("\n") + 1,

@@ -12,6 +12,11 @@ consumes the nodes in *postorder*.  This module provides exactly that model:
 
 Nodes also carry an optional ``xid`` (Xyleme persistent identifier, see
 ``repro.diff.xids``) used by the versioning subsystem to express deltas.
+
+Slot defaults live here only: the constructors store every slot directly,
+and so do :func:`new_element` and :func:`new_text`, the factories that
+tree builders (the parser, subtree copies) use to create a node and link
+it under its parent in one call.
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ class Node:
 
     __slots__ = ("parent", "xid")
 
-    def __init__(self):
-        self.parent: Optional["ElementNode"] = None
-        #: Persistent Xyleme identifier, assigned by ``repro.diff.xids``.
-        self.xid: Optional[int] = None
+    parent: Optional["ElementNode"]
+    #: Persistent Xyleme identifier, assigned by ``repro.diff.xids``.
+    xid: Optional[int]
 
     # -- structure -------------------------------------------------------
 
@@ -112,7 +116,8 @@ class ElementNode(Node):
     __slots__ = ("tag", "attributes", "children")
 
     def __init__(self, tag: str, attributes: Optional[Dict[str, str]] = None):
-        super().__init__()
+        self.parent = None
+        self.xid = None
         self.tag = tag
         self.attributes: Dict[str, str] = dict(attributes or {})
         self.children: List[Node] = []
@@ -194,13 +199,54 @@ class TextNode(Node):
     __slots__ = ("data", "words")
 
     def __init__(self, data: str):
-        super().__init__()
+        self.parent = None
+        self.xid = None
         self.data = data
         self.words: Optional[FrozenSet[str]] = None
 
     def __repr__(self) -> str:
         preview = self.data if len(self.data) <= 30 else self.data[:27] + "..."
         return f"<TextNode {preview!r}>"
+
+
+_new_node = object.__new__
+
+
+def new_element(
+    parent: Optional[ElementNode],
+    tag: str,
+    attributes: Dict[str, str],
+    xid: Optional[int] = None,
+) -> ElementNode:
+    """Create an element and append it to ``parent`` (when given).
+
+    Unlike the constructor, ``attributes`` is taken as is, not copied: the
+    caller hands over a dict no other node holds.  ``parent`` must be an
+    element still under construction, so there is nothing to detach.
+    """
+    node = _new_node(ElementNode)
+    node.parent = parent
+    node.xid = xid
+    node.tag = tag
+    node.attributes = attributes
+    node.children = []
+    if parent is not None:
+        parent.children.append(node)
+    return node
+
+
+def new_text(
+    parent: Optional[ElementNode], data: str, xid: Optional[int] = None
+) -> TextNode:
+    """Create a text node and append it to ``parent`` (when given)."""
+    node = _new_node(TextNode)
+    node.parent = parent
+    node.xid = xid
+    node.data = data
+    node.words = None
+    if parent is not None:
+        parent.children.append(node)
+    return node
 
 
 class Document:

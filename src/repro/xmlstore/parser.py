@@ -9,6 +9,13 @@ matcher operate on meaningful data nodes.  Comments and processing
 instructions are skipped; a ``<!DOCTYPE>`` declaration fills
 ``doctype_name`` and ``dtd_url``.
 
+The handlers build nodes through the factories of ``nodes``
+(:func:`~repro.xmlstore.nodes.new_element`,
+:func:`~repro.xmlstore.nodes.new_text`): one call per node creates it,
+stores its slots and appends it to its parent.  The attribute dict expat
+hands each start tag is fresh, so the element keeps it uncopied, and a
+text run is joined only when expat delivered it in more than one piece.
+
 Only the five predefined entities and character references expand.  An
 entity declaration, or a reference expat would skip (an undeclared entity
 under an external DTD subset), is rejected.  Elements nested deeper than
@@ -33,7 +40,7 @@ from typing import Dict, List, Optional
 from xml.parsers import expat
 
 from ..errors import XMLSyntaxError
-from .nodes import Document, ElementNode, TextNode
+from .nodes import Document, ElementNode, new_element, new_text
 
 #: Deepest element nesting accepted; libxml2's default maximum depth.
 MAX_DEPTH = 256
@@ -62,19 +69,18 @@ def parse(source: str) -> Document:
         )
 
     def flush_text() -> None:
-        data = "".join(text)
+        data = text[0] if len(text) == 1 else "".join(text)
         text.clear()
         if data.strip():
-            stack[-1].append(TextNode(data))
+            new_text(stack[-1], data)
 
     def start(tag: str, attributes: Dict[str, str]) -> None:
         if text:
             flush_text()
         if len(stack) > MAX_DEPTH:
             raise error(f"elements nested deeper than {MAX_DEPTH}")
-        element = ElementNode(tag, attributes)
-        stack[-1].append(element)
-        stack.append(element)
+        # Expat hands each element a fresh attribute dict: keep it as is.
+        stack.append(new_element(stack[-1], tag, attributes))
 
     def end(tag: str) -> None:
         if text:

@@ -12,9 +12,17 @@ same message at the same line and column.
 Exempt: characters that are numeric but not decimal digits (``²``,
 ``½``).  The reference classified by ``str.isdigit`` / ``str.isalpha``;
 the regex uses ``\\d`` (decimal digits only) and ``\\w``, so such a
-character starts a word rather than a number or an error.  On sources
-holding them, only the parser property at the end is checked: a bad
-source raises ``SubscriptionSyntaxError`` and nothing else.
+character starts a word rather than a number or an error.
+
+Exempt too: a quote in a ``select`` template's element text (``select
+<Note>it's new</Note>``).  The reference opened a quoted run at any quote
+in a template, so such a template ran on to a later quote or to the end
+of the input; ``tokenize`` takes only an attribute value inside a tag as
+a quoted run, and ``TestTemplateQuotes`` in ``test_language_parser.py``
+pins that behaviour.
+
+On exempt sources only the parser property is checked: a bad source
+raises ``SubscriptionSyntaxError`` and nothing else.
 """
 
 from __future__ import annotations
@@ -211,8 +219,55 @@ def assert_same_tokens(source: str) -> None:
     assert outcome(tokenize, source) == expected, source
 
 
+#: Where a ``select`` template may open: ``select``, blanks and comments, ``<``.
+#: Also found inside strings and longer words, which only widens the
+#: exemption below by a few sources, never narrows it.
+_TEMPLATE_OPENING = re.compile(r"select(?:[ \t\r\n]|%[^\n]*)*<")
+
+
+def quote_in_template_text(source: str) -> bool:
+    """Whether a quote stands outside every tag of a ``select`` template,
+    before the template closes: the one place where the reference and
+    ``tokenize`` part ways on quotes.  Both scan alike up to that quote."""
+    for opening in _TEMPLATE_OPENING.finditer(source):
+        depth, in_tag, quote = 0, False, None
+        for pos in range(opening.end() - 1, len(source)):
+            ch = source[pos]
+            if quote is not None:
+                if ch == quote:
+                    quote = None
+            elif ch in "\"'":
+                if not in_tag:
+                    return True
+                quote = ch
+            elif ch == "<":
+                depth += -1 if source.startswith("</", pos) else 1
+                in_tag = True
+            elif ch == ">":
+                in_tag = False
+                if source[pos - 1] == "/":
+                    depth -= 1
+                if depth == 0:
+                    break
+    return False
+
+
 def exempt(source: str) -> bool:
-    return any(ch.isnumeric() and not ch.isdecimal() for ch in source)
+    """The two exemptions of the module docstring."""
+    return quote_in_template_text(source) or any(
+        ch.isnumeric() and not ch.isdecimal() for ch in source
+    )
+
+
+def check_tokens(source: str) -> None:
+    """Identical tokens; on an exempt source, syntax errors only."""
+    if not exempt(source):
+        assert_same_tokens(source)
+        return
+    try:
+        parse_subscription(source)
+    except SubscriptionSyntaxError:
+        pass
 
 
 # -- the corpus --------------------------------------------------------------------
@@ -260,6 +315,7 @@ EDGE_CASES = [
     "select <a></a> x", "select <a></> x", "select </>", "select <a//>",
     "select <a x='/'/>", "select <a x=\"</b>\"/>", "select <a>it's</a>",
     "select <a", "select\n<a\n  b='1\n2'\n/>\nwhere", "select % c\n<a/>",
+    "select <a>x/> y", "select <a>x>y</a> z", "select <a x='1'>'</a>",
     "select, <a/>", "x select <a/>", "select <= 3", "select<a/>",
     "'select' <a/>",
     "é٣ ٣é ٣.٣", "\x0b", "a\u00a0b", "#",
@@ -343,19 +399,40 @@ def test_corpus_is_collected():
 
 def test_identical_tokens_on_the_corpus():
     for source in CORPUS + EDGE_CASES:
-        assert_same_tokens(source)
+        check_tokens(source)
+
+
+def test_quote_exemption_covers_only_template_text():
+    assert quote_in_template_text("select <a>it's</a>")
+    assert quote_in_template_text('select % c\n<a><b/>say "x"</a>')
+    assert not quote_in_template_text("select <a x='>'/> where 'it'")
+    assert not quote_in_template_text("select <a/> 'x'")
+    assert not quote_in_template_text("where x = \"<a>'\"")
+    assert sum(map(exempt, CORPUS + EDGE_CASES)) <= 3
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(ALPHABET), max_size=40).map("".join))
 def test_identical_tokens_on_awkward_sources(source):
-    assert_same_tokens(source)
+    check_tokens(source)
+
+
+#: Template pieces: tags, attribute quotes and element text.
+TEMPLATE_ALPHABET = [
+    "<", "</", "/>", ">", "a", "x=", " ", "\n", '"', "'", "/", "é", "%",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TEMPLATE_ALPHABET), max_size=24).map("".join))
+def test_identical_tokens_on_awkward_templates(body):
+    check_tokens(f"select <{body} where")
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated())
 def test_identical_tokens_on_mutated_corpus(source):
-    assert_same_tokens(source)
+    check_tokens(source)
 
 
 def test_word_and_digit_classes_match_the_str_predicates():

@@ -297,3 +297,36 @@ class TestBadLiterals:
             self.WHERE.format('LastUpdate > "2000-02-29"')
         )
         assert subscription.monitoring[0].conditions[0].number == 951782400.0
+
+
+class TestTemplateQuotes:
+    """A quote in a ``select`` template's element text is text: only an
+    attribute value inside a tag is a quoted run."""
+
+    APOSTROPHE = (
+        "subscription Quote\nmonitoring M\n"
+        "select <Note text=URL>it's new</Note>\n"
+        'where URL extends "http://a.example/"\n  and modified self\n'
+        "report when immediate\n"
+    )
+
+    def test_apostrophe_in_element_text_regression(self):
+        subscription = parse_subscription(self.APOSTROPHE)
+        query = subscription.monitoring[0]
+        assert query.select.template == "<Note text=URL>it's new</Note>"
+        assert [c.kind for c in query.conditions] == ["url_extends", "doc_status"]
+
+    def test_double_quotes_in_element_text(self):
+        source = self.APOSTROPHE.replace("it's new", 'say "hi" <b/> now')
+        query = parse_subscription(source).monitoring[0]
+        assert query.select.template == '<Note text=URL>say "hi" <b/> now</Note>'
+
+    def test_quoted_attribute_value_still_holds_brackets(self):
+        source = self.APOSTROPHE.replace("text=URL", "text='</Note>'")
+        query = parse_subscription(source).monitoring[0]
+        assert query.select.template == "<Note text='</Note>'>it's new</Note>"
+
+    def test_unterminated_attribute_quote_still_rejected(self):
+        source = "subscription Quote\nmonitoring M\nselect <Note text='URL/>\n"
+        with pytest.raises(SubscriptionSyntaxError, match="unterminated XML"):
+            parse_subscription(source)

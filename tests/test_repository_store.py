@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.repository.store as store_module
 from repro.clock import SimulatedClock
@@ -7,6 +8,8 @@ from repro.errors import DocumentNotFound, RepositoryError, XMLSyntaxError
 from repro.pipeline import Fetch, SubscriptionSystem
 from repro.repository import Repository
 from repro.xmlstore import parse, serialize
+
+from .test_diff_properties import documents, edit_seeds, mutate
 
 
 class TestStoreXML:
@@ -246,6 +249,36 @@ class TestVersions:
         doc = repository.document(doc_id)
         doc.root.children[0].detach()
         assert serialize(repository.document(doc_id)) == "<r><a>1</a></r>"
+
+
+class TestHistoryOwnsItsSubtrees:
+    """The version history holds copies of its op subtrees, so it keeps no
+    stored version's tree alive, and every retained version still replays
+    to what was stored."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(documents(), st.lists(edit_seeds(), min_size=1, max_size=7))
+    def test_chain_replays_and_pins_no_version_tree(self, first, seeds):
+        repository = Repository(keep_versions=5)
+        url = "http://x/chain.xml"
+        versions = [first]
+        for seed in seeds:
+            versions.append(mutate(versions[-1], seed))
+        reference = {}  # version -> a full copy of it, serialized
+        stored_roots = []
+        for version in versions:
+            text = serialize(version)
+            outcome = repository.store_xml(url, text)
+            reference.setdefault(outcome.meta.version, serialize(parse(text)))
+            doc_id = outcome.meta.doc_id
+            stored_roots.append(repository._docs[doc_id].current.root)
+        for number in repository.retained_versions(doc_id):
+            assert serialize(repository.version(doc_id, number)) == reference[number]
+        for _, inverse in repository._docs[doc_id].history:
+            for op in inverse.inserts + inverse.deletes:
+                root = op.subtree.root()
+                assert root is op.subtree
+                assert all(root is not stored for stored in stored_roots)
 
 
 class TestLookupsAndRemoval:

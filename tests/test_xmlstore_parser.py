@@ -1,4 +1,10 @@
+import importlib
+import pathlib
+import sys
+import xml.etree.ElementTree as ET
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import XMLSyntaxError
 from repro.xmlstore import parse
@@ -211,3 +217,125 @@ class TestPaperExamples:
         member = doc.root.first("Member")
         assert member is not None
         assert member.first("name").text_content() == "nguyen"
+
+
+# -- oracle: the parser's tree equals one built through the constructors ------
+
+
+def reference_tree(source: str) -> ElementNode:
+    """``source`` read by ``xml.etree`` and rebuilt with the public
+    constructors and ``append``, dropping whitespace-only text as the
+    parser does."""
+
+    def build(element: ET.Element) -> ElementNode:
+        node = ElementNode(element.tag, element.attrib)
+        if element.text and element.text.strip():
+            node.append(TextNode(element.text))
+        for child in element:
+            node.append(build(child))
+            if child.tail and child.tail.strip():
+                node.append(TextNode(child.tail))
+        return node
+
+    return build(ET.fromstring(source))
+
+
+def assert_same_tree(parsed: ElementNode, reference: ElementNode) -> None:
+    assert parsed.parent is None
+    elements = []
+    pending = [(parsed, reference)]
+    while pending:
+        node, expected = pending.pop()
+        assert type(node) is type(expected)
+        assert node.xid is None
+        if isinstance(node, TextNode):
+            assert (node.data, node.words) == (expected.data, None)
+            continue
+        elements.append(node)
+        assert (node.tag, node.attributes) == (expected.tag, expected.attributes)
+        assert len(node.children) == len(expected.children)
+        for child, expected_child in zip(node.children, expected.children):
+            assert child.parent is node
+            pending.append((child, expected_child))
+    # No two elements share an attribute dict.
+    assert len({id(element.attributes) for element in elements}) == len(elements)
+
+
+def _crawl_catalog_texts():
+    """The fetch texts of a small crawl-catalog world of the benchmark."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    saved = list(sys.path)
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        scenarios = importlib.import_module("scenarios")
+    finally:
+        sys.path[:] = saved
+    world = scenarios.crawl_catalog_world(
+        1, dict(sites=6, products=20, hours=24)
+    )
+    return [fetch.content for tick in world.ticks for fetch in tick]
+
+
+TAGS = ["a", "b", "Product", "x-y", "t.1"]
+TEXT_PIECES = [
+    "word", " ", "\n", "\r\n", "\t", "&amp;", "&lt;", "&gt;", "&#233;",
+    "&#x42;", "&quot;", "&apos;", "'", '"', ">", "é", "<![CDATA[a<b&c]]>",
+    "<![CDATA[]]>", "<!-- note -->", "<?pi data?>",
+]
+ATTRIBUTE_PIECES = ["v", " ", "&amp;", "&lt;", "&quot;", "é", "'", "\t", "\n"]
+
+texts = st.lists(st.sampled_from(TEXT_PIECES), max_size=6).map("".join)
+attributes = st.dictionaries(
+    st.sampled_from(["id", "x", "y-z", "_a"]),
+    st.lists(st.sampled_from(ATTRIBUTE_PIECES), max_size=4).map("".join),
+    max_size=3,
+)
+
+
+def render(tag, attrs, parts) -> str:
+    rendered = "".join(f' {name}="{value}"' for name, value in attrs.items())
+    if not parts:
+        return f"<{tag}{rendered}/>"
+    return f"<{tag}{rendered}>{''.join(parts)}</{tag}>"
+
+
+def _elements(children):
+    return st.builds(
+        render,
+        st.sampled_from(TAGS),
+        attributes,
+        st.lists(st.one_of(texts, children), max_size=5),
+    )
+
+
+xml_documents = st.builds(
+    lambda prolog, body: prolog + body,
+    st.sampled_from(
+        ["", '<?xml version="1.0"?>\n', '<!DOCTYPE a SYSTEM "http://d/a.dtd">']
+    ),
+    st.recursive(
+        st.builds(render, st.sampled_from(TAGS), attributes, st.lists(texts, max_size=2)),
+        _elements,
+        max_leaves=25,
+    ),
+)
+
+
+class TestConstructorOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(xml_documents)
+    def test_generated_xml(self, source):
+        assert_same_tree(parse(source).root, reference_tree(source))
+
+    def test_crawl_catalog_texts(self):
+        sources = _crawl_catalog_texts()
+        assert len(sources) >= 20
+        for source in sources:
+            assert_same_tree(parse(source).root, reference_tree(source))
+
+    def test_text_split_by_expat_folds_into_one_node(self):
+        # Longer than expat's text buffer, and cut by entity references.
+        data = "x" * 20_000 + "&amp;" + "y" * 9_000
+        source = f"<a>{data}<b/>{data}</a>"
+        assert_same_tree(parse(source).root, reference_tree(source))
+        assert len(parse(source).root.children) == 3
