@@ -12,6 +12,9 @@ Typical flow::
     changes = classify_changes(delta, touched)
     v2_again = apply_delta(v1, delta)      # reconstruction
     v1_again = apply_delta(v2, delta.inverted())
+
+``compute_delta`` moves v1's unchanged subtrees into v2, so afterwards v1
+is only read top-down (copied, serialized, applied to), never diffed again.
 """
 
 from .annotate import annotate_changes, render_text_diff
@@ -38,7 +41,7 @@ from .signature import (
     SignatureMemo,
     document_signature,
     page_signature,
-    subtree_signatures,
+    sign_subtree,
 )
 from .xids import XidSpace, index_by_xid, max_xid, space_for
 
@@ -63,7 +66,7 @@ __all__ = [
     "document_signature",
     "page_signature",
     "SignatureMemo",
-    "subtree_signatures",
+    "sign_subtree",
     "XidSpace",
     "index_by_xid",
     "max_xid",

@@ -11,17 +11,18 @@ If the root tags differ the documents are considered unrelated and
 :class:`~repro.errors.DiffError` is raised; callers (the repository) restart
 the version lineage in that case.
 
-Matching also carries the old version's per-text-node word cache
-(``TextNode.words``, see ``repro.xmlstore.words.text_words``) onto every
-unchanged text node of the new version, so only inserted and updated text is
-tokenised again.  Both caches it reads, words and subtree signatures, assume
-the trees are not mutated once cached: callers edit a ``copy_document``
-copy.
+The new version takes over each anchored subtree of the old one: the old
+node replaces its identical twin in the new children list, and keeps its
+XIDs, its subtree signatures (``Node.signature``) and its text nodes'
+cached words (``TextNode.words``, see ``repro.xmlstore.words.text_words``).
+So only the new version's changed nodes and their ancestors are new
+objects, and only inserted and updated text is tokenised again.  Both
+caches assume the trees are not mutated once cached: callers edit a
+``copy_document`` copy.
 
 ``compute_delta`` also hands back, beside the delta, the new-version
 elements its operations touch, so change classification reads them
-instead of indexing both trees by XID.  XIDs (and words) are copied across
-an anchored subtree by walking the two children lists pairwise.
+instead of indexing both trees by XID.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import DiffError
 from ..xmlstore.nodes import Document, ElementNode, Node, TextNode
 from .delta import Delta, DeleteOp, InsertOp, UpdateAttributesOp, UpdateTextOp
-from .signature import document_signatures
+from .signature import document_signature
 from .xids import XidSpace, require_xid
 
 #: Beyond this product of child-list lengths the LCS falls back to a greedy
@@ -48,12 +49,18 @@ def compute_delta(
 ) -> Delta:
     """Diff two versions.
 
-    Side effects: every node of ``new_document`` receives an XID — matched
-    nodes inherit the old node's XID, inserted nodes get fresh XIDs from
-    ``xid_space`` — and its unchanged text nodes inherit the old nodes'
-    cached words.  Both documents keep their subtree signatures
-    (``document_signatures``), so a version already signed is not signed
-    again.  ``old_document``'s tree is not modified.
+    Side effects: both documents are signed if they were not
+    (``document_signature``).  ``new_document`` takes over every subtree
+    of ``old_document`` that it holds unchanged: the old subtree, with its
+    XIDs, signatures and words, moves into the new tree in place of its
+    twin.  Every other node of ``new_document`` receives an XID — matched
+    nodes inherit the old node's, inserted nodes get fresh ones from
+    ``xid_space``.
+
+    Afterwards ``old_document`` is still correct read top-down, since its
+    children lists are intact, but a moved node's ``parent`` is in the new
+    tree, so walking upward from it leaves the old version.  An old
+    version must therefore never be diffed again.
 
     When ``touched`` is given, the new-version element each operation
     touches is appended to it, in the order of the delta's operation
@@ -70,11 +77,9 @@ def compute_delta(
             f"root element changed from <{old_root.tag}> to <{new_root.tag}>;"
             " version lineage must be restarted"
         )
-    matcher = _Matcher(
-        document_signatures(old_document),
-        document_signatures(new_document),
-        xid_space,
-    )
+    document_signature(old_document)
+    document_signature(new_document)
+    matcher = _Matcher(xid_space)
     matcher.match_elements(old_root, new_root)
     if touched is not None:
         touched.extend(
@@ -89,17 +94,10 @@ def compute_delta(
 
 
 class _Matcher:
-    """One diff's state: both signature maps, the delta being built and,
-    one list per operation list, the new-version elements it touches."""
+    """One diff's state: the delta being built and, one list per operation
+    list, the new-version elements it touches."""
 
-    def __init__(
-        self,
-        old_signatures: Dict[int, int],
-        new_signatures: Dict[int, int],
-        xid_space: XidSpace,
-    ):
-        self.old_signatures = old_signatures
-        self.new_signatures = new_signatures
+    def __init__(self, xid_space: XidSpace):
         self.xid_space = xid_space
         self.delta = Delta()
         self.text_parents: List[ElementNode] = []
@@ -128,14 +126,17 @@ class _Matcher:
         delta = self.delta
         old_children = old.children
         new_children = new.children
-        old_signatures = self.old_signatures
-        new_signatures = self.new_signatures
-        old_keys = [old_signatures[id(c)] for c in old_children]
-        new_keys = [new_signatures[id(c)] for c in new_children]
-        anchors = _lcs_pairs(old_keys, new_keys)
+        anchors = _lcs_pairs(
+            [child.signature for child in old_children],
+            [child.signature for child in new_children],
+        )
 
+        # Take over each anchored subtree: it is identical, down to its
+        # XIDs, signatures and words.
         for old_index, new_index in anchors:
-            _propagate_xids(old_children[old_index], new_children[new_index])
+            old_child = old_children[old_index]
+            new_children[new_index] = old_child
+            old_child.parent = new
 
         # Work gap by gap between consecutive anchors, pairing same-kind nodes.
         boundaries = anchors + [(len(old_children), len(new_children))]
@@ -223,21 +224,6 @@ def _pair_gap(
     unmatched_old = [i for i in range(len(old_nodes)) if i not in matched_old]
     unmatched_new = [j for j in range(len(new_nodes)) if j not in matched_new]
     return pairs, unmatched_old, unmatched_new
-
-
-def _propagate_xids(old: Node, new: Node) -> None:
-    """Copy XIDs, and the words of text nodes, across two structurally
-    identical subtrees, walking their children lists pairwise."""
-    new.xid = old.xid
-    if type(new) is TextNode:
-        new.words = old.words  # type: ignore[attr-defined]
-        return
-    for old_child, new_child in zip(old.children, new.children):  # type: ignore[attr-defined]
-        if type(new_child) is TextNode:
-            new_child.xid = old_child.xid
-            new_child.words = old_child.words  # type: ignore[attr-defined]
-        else:
-            _propagate_xids(old_child, new_child)
 
 
 def _lcs_pairs(left: Sequence, right: Sequence) -> List[Tuple[int, int]]:

@@ -3,7 +3,8 @@
 Two subtrees with equal signatures are byte-identical under serialization
 (same tags, attributes, text and child order), so the matcher may anchor on
 them without further comparison.  Signatures are 64-bit integers derived
-from BLAKE2b, computed bottom-up in one recursive pass.
+from BLAKE2b, computed bottom-up in one recursive pass that stores each
+node's signature on the node (``Node.signature``).
 
 Each version is signed against the previous version of its document.  A
 stored document keeps a :class:`SignatureMemo` of its current version:
@@ -16,9 +17,11 @@ more than that price's ancestors.  A signature is a pure function of its
 key, so a memo from any other tree can only miss, never give a wrong
 value.  Keys are ``str`` and ``bytes`` and values ``int``, none of which
 the cyclic garbage collector tracks, so a memo adds no work to its
-collections.  :func:`document_signatures` keeps the map on the
-:class:`Document`, so the repository's whole-document signature and both
-sides of a later ``compute_delta`` read the same pass.
+collections.  :func:`document_signature` signs a document only while it
+is unsigned (``root.signature`` is None), so the repository's
+whole-document signature and both sides of a later ``compute_delta`` read
+the same pass, and a subtree the next version takes over from this one
+(see ``repro.diff.matching``) keeps its signatures for the diff after.
 
 HTML pages are not warehoused by Xyleme; for them the system only keeps "the
 signature of the old page" and can merely report changed/unchanged
@@ -50,7 +53,7 @@ def page_signature(content: str) -> int:
 class SignatureMemo:
     """Content key -> signature of every subtree of one version.
 
-    :func:`subtree_signatures` reads it and then replaces its entries with
+    :func:`sign_subtree` reads it and then replaces its entries with
     those of the tree it signed, so it never holds more keys than that
     tree has nodes.
     """
@@ -64,10 +67,9 @@ class SignatureMemo:
         return len(self.entries)
 
 
-def subtree_signatures(
-    root: Node, memo: Optional[SignatureMemo] = None
-) -> Dict[int, int]:
-    """Map ``id(node)`` -> signature for every node under ``root``.
+def sign_subtree(root: Node, memo: Optional[SignatureMemo] = None) -> int:
+    """Store its signature on every node under ``root``; return
+    ``root``'s.
 
     An element's signature hashes its tag, sorted attributes and the
     ordered signatures of its children; a text node's hashes its text.
@@ -75,7 +77,6 @@ def subtree_signatures(
     memo's signature unhashed, and the memo then holds ``root``'s keys
     in place of its old ones.
     """
-    signatures: Dict[int, int] = {}
     known = memo.entries if memo is not None else {}
     keys: Dict[Hashable, int] = {}
     # Per pass: tag -> its payload head; child count -> a packer of that
@@ -110,32 +111,24 @@ def subtree_signatures(
             signature = known.get(key)
             if signature is None:
                 signature = _digest(key)
-        keys[key] = signature
-        signatures[id(node)] = signature
+        keys[key] = node.signature = signature
         return signature
 
-    sign(root)
+    signature = sign(root)
     # ``sign`` holds itself through its closure: break the cycle so the
     # pass is freed now, not by the cyclic collector.
     del sign
     if memo is not None:
         memo.entries = keys
-    return signatures
-
-
-def document_signatures(
-    document: Document, memo: Optional[SignatureMemo] = None
-) -> Dict[int, int]:
-    """:func:`subtree_signatures` of ``document`` (against ``memo``, if
-    given), computed on first use and kept on ``document.signatures`` for
-    later calls."""
-    if document.signatures is None:
-        document.signatures = subtree_signatures(document.root, memo)
-    return document.signatures
+    return signature
 
 
 def document_signature(
     document: Document, memo: Optional[SignatureMemo] = None
 ) -> int:
-    """Signature of a whole XML document (root subtree)."""
-    return document_signatures(document, memo)[id(document.root)]
+    """Signature of a whole XML document (root subtree), signed against
+    ``memo`` (if given) on first use and read from the nodes later."""
+    signature = document.root.signature
+    if signature is None:
+        signature = sign_subtree(document.root, memo)
+    return signature

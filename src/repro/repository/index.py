@@ -11,8 +11,8 @@ indexed from its delta when there is one: deleted subtrees subtract, inserted
 subtrees add, text updates swap the old text's words for the new, and a
 posting changes only when a count crosses zero.  A first version, a lineage
 restart or a restore indexes the whole tree.  Words come from
-:func:`~repro.xmlstore.words.text_words`, so a text node the diff carried
-over unchanged is never tokenised again; the indexed trees must not be
+:func:`~repro.xmlstore.words.text_words`, so a text node the next version
+takes over unchanged is never tokenised again; the indexed trees must not be
 mutated (callers edit a ``copy_document`` copy).
 """
 

@@ -21,17 +21,25 @@ signed.  Otherwise it is parsed and signed against the stored document's
 and signature of every subtree of the version signed last: only subtrees
 the memo does not hold are hashed, and the memo then holds the new
 version's.  The memo is per stored document and is not checkpointed, so a
-restored document signs its next version cold.  The subtree signatures
-stay on the :class:`Document`, where ``compute_delta`` reuses them now
-and again when the next version arrives.
+restored document signs its next version cold.  Each subtree signature
+stays on its node (``Node.signature``), where ``compute_delta`` reads it
+now and again when the next version arrives.
+
+An updated version takes over the stored version's unchanged subtrees
+(``compute_delta``): only its changed nodes and their ancestors are new
+objects.  So once a newer version of a URL is stored, the older one, a
+:attr:`FetchOutcome.old_document` or an earlier outcome's ``document``,
+may only be read top-down from its root (walked, copied, serialized):
+the ``parent`` of a node it shares with the newer version points into
+that version.  No older version is ever diffed again.
 
 Each text node is tokenised once.  Its distinct words stay on the node
-(``TextNode.words``); the diff copies them onto the unchanged text of the
-next version, and the XML alerter reads them there.  The word index is
-maintained from the deltas: an updated version is indexed by handing
-``WarehouseIndexes.index_document`` the delta, so only inserted, deleted
-and updated nodes are counted, while a new document, a lineage restart or a
-restore indexes the whole tree.  A stored tree carries both caches and is
+(``TextNode.words``), which the next version takes over with the rest of
+an unchanged subtree, and the XML alerter reads them there.  The word
+index is maintained from the deltas: an updated version is indexed by
+handing ``WarehouseIndexes.index_document`` the delta, so only inserted,
+deleted and updated nodes are counted, while a new document, a lineage
+restart or a restore indexes the whole tree.  A stored tree carries both caches and is
 therefore never mutated: readers get ``copy_document`` copies
 (:meth:`Repository.document`, :meth:`Repository.version`), which start
 with both caches empty.
@@ -94,8 +102,12 @@ class FetchOutcome:
 
     meta: DocumentMeta
     status: str  # DOC_NEW / DOC_UPDATED / DOC_UNCHANGED
-    document: Optional[Document] = None      # new current version (XML only)
-    old_document: Optional[Document] = None  # previous version (XML, updated)
+    #: The new current version (XML only).  Read it top-down only once
+    #: a newer version of the URL is stored, as ``old_document`` now.
+    document: Optional[Document] = None
+    #: The previous version (XML, updated); its unchanged subtrees now
+    #: belong to ``document``.
+    old_document: Optional[Document] = None
     delta: Optional[Delta] = None            # old -> new (XML, updated)
     #: New-version elements ``delta``'s operations touch (``compute_delta``).
     touched: Optional[List[ElementNode]] = None
@@ -286,9 +298,11 @@ class Repository:
                 stored, document, text, now, new_signature
             )
         if not delta:
-            # Content hash differs only through aspects the diff ignores;
-            # treat as unchanged at element level.
+            # The tree is unchanged but the stored signature is not its
+            # own (an HTML fetch of the URL replaced it).  The fetched
+            # root took over every subtree of the stored one: keep it.
             stored.meta.signature = new_signature
+            stored.current.root = document.root
             return self._same_tree(stored, document, now)
         old_document = stored.current
         stored.history.insert(0, (stored.meta.version, delta.inverted()))

@@ -92,14 +92,15 @@ class QueryAnswerStore:
             chain.history.clear()
             chain.evaluated_at = evaluated_at
             return chain.version, None
+        # ``answer`` took over the unchanged subtrees of the stored answer,
+        # so it is kept even when nothing changed.
+        chain.current = answer
+        chain.evaluated_at = evaluated_at
         if not delta:
-            chain.evaluated_at = evaluated_at
             return chain.version, delta
         chain.history.insert(0, (chain.version, delta.inverted()))
         del chain.history[self.keep_versions - 1 :]
-        chain.current = answer
         chain.version += 1
-        chain.evaluated_at = evaluated_at
         return chain.version, delta
 
     # -- reading ----------------------------------------------------------------

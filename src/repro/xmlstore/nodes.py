@@ -11,7 +11,9 @@ consumes the nodes in *postorder*.  This module provides exactly that model:
 * :meth:`Node.postorder` / :meth:`Node.preorder` — traversals.
 
 Nodes also carry an optional ``xid`` (Xyleme persistent identifier, see
-``repro.diff.xids``) used by the versioning subsystem to express deltas.
+``repro.diff.xids``) used by the versioning subsystem to express deltas,
+and an optional ``signature``, the content hash of their subtree (see
+``repro.diff.signature``) that the diff anchors identical subtrees on.
 
 Slot defaults live here only: the constructors store every slot directly,
 and so do :func:`new_element` and :func:`new_text`, the factories that
@@ -27,11 +29,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional
 class Node:
     """Common behaviour of element and text nodes."""
 
-    __slots__ = ("parent", "xid")
+    __slots__ = ("parent", "xid", "signature")
 
     parent: Optional["ElementNode"]
     #: Persistent Xyleme identifier, assigned by ``repro.diff.xids``.
     xid: Optional[int]
+    #: Subtree signature, set by ``repro.diff.signature.sign_subtree``.
+    signature: Optional[int]
 
     # -- structure -------------------------------------------------------
 
@@ -118,6 +122,7 @@ class ElementNode(Node):
     def __init__(self, tag: str, attributes: Optional[Dict[str, str]] = None):
         self.parent = None
         self.xid = None
+        self.signature = None
         self.tag = tag
         self.attributes: Dict[str, str] = dict(attributes or {})
         self.children: List[Node] = []
@@ -192,8 +197,8 @@ class TextNode(Node):
     """Character data.
 
     ``words`` caches the node's distinct words, filled on first use by
-    ``repro.xmlstore.words.text_words``; like a document's ``signatures``
-    it assumes ``data`` never changes once set.
+    ``repro.xmlstore.words.text_words``; like the ``signature`` slot it
+    assumes ``data`` never changes once set.
     """
 
     __slots__ = ("data", "words")
@@ -201,6 +206,7 @@ class TextNode(Node):
     def __init__(self, data: str):
         self.parent = None
         self.xid = None
+        self.signature = None
         self.data = data
         self.words: Optional[FrozenSet[str]] = None
 
@@ -227,6 +233,7 @@ def new_element(
     node = _new_node(ElementNode)
     node.parent = parent
     node.xid = xid
+    node.signature = None
     node.tag = tag
     node.attributes = attributes
     node.children = []
@@ -242,6 +249,7 @@ def new_text(
     node = _new_node(TextNode)
     node.parent = parent
     node.xid = xid
+    node.signature = None
     node.data = data
     node.words = None
     if parent is not None:
@@ -256,16 +264,16 @@ class Document:
     was present, because several atomic conditions of the subscription
     language (``DTD = string``, ``DTDID = integer``) key on it.
 
-    ``signatures`` caches the ``id(node) -> signature`` map of the tree,
-    filled on first use by ``repro.diff.signature.document_signatures``;
-    its text nodes cache their words the same way (``TextNode.words``).
-    A tree carrying cached signatures or words must therefore not be
-    mutated (XIDs and the DOCTYPE aside, which neither cache covers):
+    Its nodes cache their subtree signatures (``Node.signature``, set by
+    ``repro.diff.signature.document_signature``; the document is unsigned
+    while ``root.signature`` is None) and its text nodes their words
+    (``TextNode.words``).  A tree carrying either cache must therefore not
+    be mutated (XIDs and the DOCTYPE aside, which neither cache covers):
     callers that edit a document edit a ``copy_document`` copy, which
     starts with both caches empty.
     """
 
-    __slots__ = ("root", "doctype_name", "dtd_url", "signatures")
+    __slots__ = ("root", "doctype_name", "dtd_url")
 
     def __init__(
         self,
@@ -276,7 +284,6 @@ class Document:
         self.root = root
         self.doctype_name = doctype_name
         self.dtd_url = dtd_url
-        self.signatures: Optional[Dict[int, int]] = None
 
     def __repr__(self) -> str:
         return f"<Document root={self.root.tag!r} dtd={self.dtd_url!r}>"

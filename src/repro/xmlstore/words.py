@@ -6,9 +6,9 @@ agree on what a "word" is (the alerter's WordTable, the repository's word
 index, the stop-word cost control of Section 5.4) goes through this module.
 
 Each text node is tokenised once: :func:`text_words` keeps the node's
-distinct words on ``TextNode.words``, the diff copies them onto the
-unchanged text of the next version, and the warehouse index and the XML
-alerter both read them from there.  A tree whose text nodes carry cached
+distinct words on ``TextNode.words``, the next version takes the node
+over with the rest of an unchanged subtree (see ``repro.diff.matching``),
+and the warehouse index and the XML alerter both read them from there.  A tree whose text nodes carry cached
 words must therefore not be mutated; callers that edit a document edit a
 ``copy_document`` copy, whose text nodes start with ``words`` unset.
 """

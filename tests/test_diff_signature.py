@@ -6,9 +6,8 @@ from repro.diff import XidSpace, apply_delta, compute_delta, copy_document
 from repro.diff.signature import (
     SignatureMemo,
     document_signature,
-    document_signatures,
     page_signature,
-    subtree_signatures,
+    sign_subtree,
 )
 from repro.errors import RepositoryError
 from repro.repository import Repository
@@ -48,24 +47,37 @@ class TestDocumentSignature:
         )
 
 
+def signatures_of(root):
+    """Every node's signature under ``root``, in preorder."""
+    return [node.signature for node in root.preorder()]
+
+
+def fresh_signatures(document):
+    """The preorder signatures of a fresh signing of a copy."""
+    copy = copy_document(document)
+    sign_subtree(copy.root)
+    return signatures_of(copy.root)
+
+
 class TestSubtreeSignatures:
     def test_every_node_has_a_signature(self):
         doc = parse("<r><a>t</a><b/></r>")
-        signatures = subtree_signatures(doc.root)
-        assert len(signatures) == len(list(doc.preorder()))
+        assert sign_subtree(doc.root) == doc.root.signature
+        assert None not in signatures_of(doc.root)
+        assert len(set(signatures_of(doc.root))) == len(list(doc.preorder()))
 
     def test_identical_subtrees_share_signature(self):
         doc = parse("<r><a><x>1</x></a><b><x>1</x></b></r>")
-        signatures = subtree_signatures(doc.root)
+        sign_subtree(doc.root)
         a, b = doc.root.children
-        assert signatures[id(a.children[0])] == signatures[id(b.children[0])]
+        assert a.children[0].signature == b.children[0].signature
 
     def test_element_and_text_never_collide_on_content(self):
         doc = parse("<r><t>abc</t></r>")
-        signatures = subtree_signatures(doc.root)
+        sign_subtree(doc.root)
         element = doc.root.children[0]
         text = element.children[0]
-        assert signatures[id(element)] != signatures[id(text)]
+        assert element.signature != text.signature
 
 
 class TestPageSignature:
@@ -105,20 +117,19 @@ class TestSignatureCache:
         self, monkeypatch
     ):
         document = parse("<r><a>t</a><b/></r>")
-        assert document.signatures is None
+        assert signatures_of(document.root) == [None] * 4
         passes = []
-        original = signature_module.subtree_signatures
+        original = signature_module.sign_subtree
         monkeypatch.setattr(
             signature_module,
-            "subtree_signatures",
+            "sign_subtree",
             lambda root, memo=None: passes.append(root) or original(root, memo),
         )
-        signatures = document_signatures(document)
-        assert document.signatures is signatures
-        assert document_signatures(document) is signatures
-        assert document_signature(document) == signatures[id(document.root)]
+        signature = document_signature(document)
+        assert document.root.signature == signature
+        assert document_signature(document) == signature
         assert passes == [document.root]
-        assert signatures == original(document.root)
+        assert signatures_of(document.root) == fresh_signatures(document)
 
     def test_compute_delta_signs_each_version_once(self, monkeypatch):
         old = parse("<r><a>1</a><b/></r>")
@@ -127,10 +138,10 @@ class TestSignatureCache:
         document_signature(old)
         document_signature(new)
         passes = []
-        original = signature_module.subtree_signatures
+        original = signature_module.sign_subtree
         monkeypatch.setattr(
             signature_module,
-            "subtree_signatures",
+            "sign_subtree",
             lambda root, memo=None: passes.append(root) or original(root, memo),
         )
         delta = compute_delta(old, new, XidSpace(first_xid=100))
@@ -142,18 +153,21 @@ class TestSignatureCache:
         new = parse("<r><a>2</a></r>")
         XidSpace().assign_fresh(old.root)
         compute_delta(old, new, XidSpace(first_xid=100))
-        assert old.signatures == subtree_signatures(old.root)
-        assert new.signatures == subtree_signatures(new.root)
+        assert signatures_of(old.root) == fresh_signatures(old)
+        assert signatures_of(new.root) == fresh_signatures(new)
 
     def test_new_documents_start_unsigned(self):
         signed = parse("<r><a>1</a></r>")
         XidSpace().assign_fresh(signed.root)
-        document_signatures(signed)
+        document_signature(signed)
         changed = parse("<r><a>2</a></r>")
         delta = compute_delta(signed, changed, XidSpace(first_xid=100))
-        assert parse("<r/>").signatures is None
-        assert copy_document(signed).signatures is None
-        assert apply_delta(signed, delta).signatures is None
+        for unsigned in (
+            parse("<r/>"),
+            copy_document(signed),
+            apply_delta(signed, delta),
+        ):
+            assert set(signatures_of(unsigned.root)) == {None}
 
 
 GOLDEN_SOURCE = (
@@ -167,7 +181,7 @@ def memo_of(*sources):
     """A memo last filled by signing each of ``sources`` in turn."""
     memo = SignatureMemo()
     for source in sources:
-        subtree_signatures(parse(source).root, memo)
+        sign_subtree(parse(source).root, memo)
     return memo
 
 
@@ -182,9 +196,8 @@ class TestSignatureMemo:
         memo = SignatureMemo()
         for _ in range(8):
             document = parse(serialize(page))
-            assert subtree_signatures(document.root, memo) == subtree_signatures(
-                document.root
-            )
+            sign_subtree(document.root, memo)
+            assert signatures_of(document.root) == fresh_signatures(document)
             page = change_model.mutate(page)
 
     def test_golden_values_hold_with_foreign_memos(self):
@@ -198,7 +211,7 @@ class TestSignatureMemo:
         ):
             document = parse(GOLDEN_SOURCE)
             assert document_signature(document, memo) == GOLDEN_SIGNATURE
-            assert document.signatures == subtree_signatures(document.root)
+            assert signatures_of(document.root) == fresh_signatures(document)
             generated = parse(catalog)
             assert document_signature(generated, memo) == 5083823626462614081
 
@@ -215,8 +228,9 @@ class TestSignatureMemo:
         ):
             memo = memo_of(stored)
             document = parse(signed)
-            assert subtree_signatures(document.root, memo) == subtree_signatures(
-                document.root
+            sign_subtree(document.root, memo)
+            assert signatures_of(document.root) == fresh_signatures(
+                document
             ), (stored, signed)
 
     def test_memo_from_a_rejected_version_is_sound(
@@ -241,8 +255,8 @@ class TestSignatureMemo:
         assert len(stored.memo) == len(list(parse(rejected).preorder()))
         assert stored.meta.signature == GOLDEN_SIGNATURE
         outcome = repository.store_xml(url, GOLDEN_SOURCE.replace("9.50", "9.75"))
-        assert outcome.document.signatures == subtree_signatures(
-            outcome.document.root
+        assert signatures_of(outcome.document.root) == fresh_signatures(
+            outcome.document
         )
         assert [op.new_text for op in outcome.delta.text_updates] == ["9.75"]
         outcome = repository.store_xml(url, GOLDEN_SOURCE)

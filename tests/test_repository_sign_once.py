@@ -10,8 +10,8 @@ URL as HTML) go through the repository, next to a second, fixed catalog.
 After every fetch:
 
 * the outcome is compared with a reference that keeps each version only
-  as text plus its XIDs, re-parses both versions and signs them from
-  scratch with ``subtree_signatures``;
+  as text plus its XIDs, re-parses both versions and signs them afresh
+  with ``sign_subtree``;
 * the index equals one rebuilt from ``Repository.document()`` of every
   stored document (``index_oracle``);
 * every text node of the current and the retained versions has ``words``
@@ -35,7 +35,7 @@ from repro.diff import (
     compute_delta,
     copy_document,
     page_signature,
-    subtree_signatures,
+    sign_subtree,
 )
 from repro.errors import DiffError
 from repro.repository import Repository
@@ -73,7 +73,7 @@ class _ReferenceStore:
     def store(self, text: str):
         """Returns ``(status, delta_xml, xids, signature, version)``."""
         document = parse(text)
-        signature = subtree_signatures(document.root)[id(document.root)]
+        signature = sign_subtree(document.root)
         delta_xml = None
         if self.text is None:
             status = DOC_NEW
@@ -85,8 +85,7 @@ class _ReferenceStore:
             status = DOC_UNCHANGED
         else:
             old = self._current()
-            old.signatures = subtree_signatures(old.root)
-            document.signatures = subtree_signatures(document.root)
+            sign_subtree(old.root)
             try:
                 delta = compute_delta(old, document, self.xid_space)
             except DiffError:

@@ -223,9 +223,12 @@ class TestVersions:
         repository.store_xml("http://x/a.xml", "<r><a>1</a></r>")
         repository.store_xml("http://x/a.xml", "<r><a>2</a></r>")
         doc_id = repository.meta_for_url("http://x/a.xml").doc_id
-        assert repository.document(doc_id).signatures is None
-        assert repository.version(doc_id, 2).signatures is None
-        assert repository.version(doc_id, 1).signatures is None
+        for document in (
+            repository.document(doc_id),
+            repository.version(doc_id, 2),
+            repository.version(doc_id, 1),
+        ):
+            assert {node.signature for node in document.preorder()} == {None}
 
     def test_read_versions_carry_no_cached_words(self, repository):
         repository.store_xml("http://x/a.xml", "<r><a>one</a></r>")
