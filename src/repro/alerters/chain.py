@@ -15,7 +15,7 @@ In this case only, an alert ... is sent."
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from ..core.events import AtomicEventKey, WEAK_KINDS
 from ..core.processor import Alert
@@ -80,47 +80,26 @@ class AlerterChain:
     # -- detection ----------------------------------------------------------------
 
     def build_alert(self, fetched: FetchedDocument) -> Optional[Alert]:
-        """Run all alerters; return the alert, or None if only weak events
+        """Run all alerters, merge their detections and apply the
+        Section 5.1 gating; return the alert, or None if only weak events
         (or nothing) fired."""
         start = self.metrics.now()
-        codes, data = self.detect_events(fetched)
-        alert = self.assemble_alert(fetched, codes, data)
-        self._latency.observe(self.metrics.now() - start)
-        if alert is not None:
-            self._built.inc()
-        else:
-            self._suppressed.inc()
-        return alert
-
-    def detect_events(
-        self, fetched: FetchedDocument
-    ) -> Tuple[Set[int], Dict[int, Any]]:
-        """Run every alerter over one document and merge the detections.
-
-        Read-only: only the registered pattern tables are consulted.
-        """
         codes: Set[int] = set()
         data: Dict[int, Any] = {}
         for alerter in self.alerters:
             detected, payload = alerter.detect(fetched)
             codes |= detected
             data.update(payload)
-        return codes, data
-
-    def assemble_alert(
-        self,
-        fetched: FetchedDocument,
-        codes: Set[int],
-        data: Dict[int, Any],
-    ) -> Optional[Alert]:
-        """Section 5.1 weak/strong gating + alert assembly (no metrics)."""
-        if not codes:
-            return None
-        strong = codes - self._weak_codes
-        if not strong:
-            return None
-        return Alert(
-            document_url=fetched.url,
-            event_codes=sorted(codes),
-            data=data,
-        )
+        alert = None
+        if codes - self._weak_codes:
+            alert = Alert(
+                document_url=fetched.url,
+                event_codes=sorted(codes),
+                data=data,
+            )
+        self._latency.observe(self.metrics.now() - start)
+        if alert is not None:
+            self._built.inc()
+        else:
+            self._suppressed.inc()
+        return alert

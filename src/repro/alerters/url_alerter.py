@@ -16,7 +16,7 @@ from ..core.events import AtomicEventKey
 from ..diff.changes import DOC_NEW, DOC_UNCHANGED, DOC_UPDATED
 from .base import Alerter, Detection, reject_unknown
 from .context import FetchedDocument
-from .url_patterns import PrefixHashTable, PrefixTrie
+from .url_patterns import PrefixHashTable
 
 _STATUS_KINDS = {
     "doc_new": DOC_NEW,
@@ -55,12 +55,8 @@ class URLAlerter(Alerter):
         }
     )
 
-    def __init__(self, prefix_structure: str = "hash"):
-        """``prefix_structure`` is "hash" (production) or "trie" (ablation)."""
-        if prefix_structure == "trie":
-            self._prefixes: Any = PrefixTrie()
-        else:
-            self._prefixes = PrefixHashTable()
+    def __init__(self):
+        self._prefixes = PrefixHashTable()
         self._exact_urls: Dict[str, Set[int]] = {}
         self._filenames: Dict[str, Set[int]] = {}
         self._dtd_urls: Dict[str, Set[int]] = {}

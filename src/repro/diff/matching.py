@@ -167,8 +167,6 @@ class _Matcher:
                             )
                         )
                         self.text_parents.append(new)
-                    else:
-                        new_child.words = old_child.words
                 else:
                     assert isinstance(old_child, ElementNode)
                     assert isinstance(new_child, ElementNode)

@@ -2,49 +2,21 @@
 
 The paper's Subscription Manager "uses the same MySQL database for
 recovery" (Section 3).  This package provides the surface that role needs:
-typed tables, predicates, point lookups, secondary indexes, and WAL-based
-durability with snapshot checkpoints.
+typed tables keyed by their primary key (insert, point lookup, update and
+delete by key, full scan), and WAL-based durability with snapshot
+checkpoints.
 """
 
 from .database import Database
-from .predicates import (
-    And,
-    Eq,
-    Everything,
-    Ge,
-    Gt,
-    IsNull,
-    Le,
-    Like,
-    Lt,
-    Ne,
-    Not,
-    Or,
-    Predicate,
-)
 from .table import Table
-from .types import BOOLEAN, INTEGER, REAL, TEXT, Column, TableSchema, schema
+from .types import BOOLEAN, INTEGER, TEXT, Column, TableSchema, schema
 from .wal import WriteAheadLog
 
 __all__ = [
     "Database",
-    "And",
-    "Eq",
-    "Everything",
-    "Ge",
-    "Gt",
-    "IsNull",
-    "Le",
-    "Like",
-    "Lt",
-    "Ne",
-    "Not",
-    "Or",
-    "Predicate",
     "Table",
     "BOOLEAN",
     "INTEGER",
-    "REAL",
     "TEXT",
     "Column",
     "TableSchema",

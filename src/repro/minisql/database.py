@@ -26,12 +26,12 @@ from .wal import WriteAheadLog, read_snapshot, write_snapshot
 
 
 class Database:
-    def __init__(self, path: Optional[str] = None, sync_every: int = 1):
+    def __init__(self, path: Optional[str] = None):
         self.path = path
         self._tables: Dict[str, Table] = {}
         self._wal: Optional[WriteAheadLog] = None
         if path is not None:
-            self._wal = WriteAheadLog(path, sync_every=sync_every)
+            self._wal = WriteAheadLog(path)
             self._wal.open()
 
     # -- schema ------------------------------------------------------------
@@ -46,13 +46,6 @@ class Database:
             self._wal.append({"op": "create_table", "schema": schema.to_dict()})
         return table
 
-    def create_index(self, table_name: str, column: str) -> None:
-        self.table(table_name).create_index(column)
-        if self._wal is not None:
-            self._wal.append(
-                {"op": "create_index", "table": table_name, "column": column}
-            )
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]
@@ -61,9 +54,6 @@ class Database:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
-
-    def table_names(self):
-        return sorted(self._tables)
 
     # -- durability ---------------------------------------------------------
 
@@ -79,7 +69,6 @@ class Database:
             "tables": [
                 {
                     "schema": table.schema.to_dict(),
-                    "indexes": sorted(table._secondary),
                     "rows": [
                         {"rowid": rowid, "row": row}
                         for rowid, row in table._rows.items()
@@ -104,39 +93,29 @@ class Database:
     # -- recovery ------------------------------------------------------------
 
     @staticmethod
-    def recover(path: str, sync_every: int = 1) -> "Database":
+    def recover(path: str) -> "Database":
         """Rebuild a database from its snapshot + WAL."""
         db = Database(path=None)
         snapshot = read_snapshot(path)
         if snapshot is not None:
             for entry in snapshot["tables"]:
                 schema = TableSchema.from_dict(entry["schema"])
-                table = Table(schema)
-                for column in entry["indexes"]:
-                    table.create_index(column)
+                table = db._tables[schema.name] = Table(schema)
                 for stored in entry["rows"]:
-                    table.apply_physical(
-                        "insert",
-                        {"rowid": stored["rowid"], "row": stored["row"]},
-                    )
-                db._tables[schema.name] = table
-        log = WriteAheadLog(path)
-        for record in log.records():
+                    table.apply_physical("insert", stored)
+        for record in WriteAheadLog(path).records():
             op = record["op"]
-            if op == "checkpoint":
-                continue
             if op == "create_table":
                 schema = TableSchema.from_dict(record["schema"])
                 if schema.name not in db._tables:
                     db._tables[schema.name] = Table(schema)
-                continue
-            if op == "create_index":
-                db.table(record["table"]).create_index(record["column"])
-                continue
-            db.table(record["table"]).apply_physical(op, record["payload"])
+            elif op in ("insert", "update", "delete"):
+                db.table(record["table"]).apply_physical(op, record["payload"])
+            elif op != "checkpoint":
+                raise MiniSQLError(f"unknown WAL operation {op!r}")
         # Re-attach durability to the same WAL file.
         db.path = path
-        db._wal = WriteAheadLog(path, sync_every=sync_every)
+        db._wal = WriteAheadLog(path)
         db._wal.open()
         for table in db._tables.values():
             table.observer = db._on_mutation

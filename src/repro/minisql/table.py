@@ -1,17 +1,15 @@
-"""In-memory table with primary-key and secondary hash indexes.
+"""In-memory table keyed by its primary key.
 
 Mutations emit *physical* per-row effects (rowid + full row state) to an
 observer callback; the database writes these to the write-ahead log, and
-recovery replays them verbatim.  Logical predicates are evaluated only once,
-at mutation time — never during recovery.
+recovery replays them verbatim.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
-from ..errors import MiniSQLError, SchemaError
-from .predicates import Everything, Predicate
+from ..errors import MiniSQLError
 from .types import TableSchema
 
 #: observer(op, table_name, payload); op in {"insert", "update", "delete"}.
@@ -26,7 +24,6 @@ class Table:
         self._rows: Dict[int, Dict[str, Any]] = {}
         self._next_rowid = 1
         self._primary_index: Dict[Any, int] = {}
-        self._secondary: Dict[str, Dict[Any, set]] = {}
         self.observer: Optional[Observer] = None
 
     # -- helpers -----------------------------------------------------------
@@ -39,19 +36,9 @@ class Table:
         return len(self._rows)
 
     def rows(self) -> Iterator[Dict[str, Any]]:
-        """Yield copies of all rows (callers cannot corrupt indexes)."""
+        """Yield copies of all rows (callers cannot corrupt the index)."""
         for row in self._rows.values():
             yield dict(row)
-
-    def create_index(self, column: str) -> None:
-        """Create a secondary hash index over ``column`` (idempotent)."""
-        self.schema.column(column)  # raises SchemaError on unknown column
-        if column in self._secondary:
-            return
-        index: Dict[Any, set] = {}
-        for rowid, row in self._rows.items():
-            index.setdefault(row[column], set()).add(rowid)
-        self._secondary[column] = index
 
     def _notify(self, op: str, payload: Dict[str, Any]) -> None:
         if self.observer is not None:
@@ -74,139 +61,65 @@ class Table:
         self._rows[rowid] = stored
         if rowid >= self._next_rowid:
             self._next_rowid = rowid + 1
-        pk = self.schema.primary_key
-        if pk is not None:
-            self._primary_index[stored[pk]] = rowid
-        for column, index in self._secondary.items():
-            index.setdefault(stored[column], set()).add(rowid)
+        self._primary_index[stored[self.schema.primary_key]] = rowid
 
     def _replace(self, rowid: int, updated: Dict[str, Any]) -> None:
         row = self._rows[rowid]
         pk = self.schema.primary_key
-        if pk is not None and updated[pk] != row[pk]:
+        if updated[pk] != row[pk]:
             del self._primary_index[row[pk]]
             self._primary_index[updated[pk]] = rowid
-        for column, index in self._secondary.items():
-            if updated[column] != row[column]:
-                index[row[column]].discard(rowid)
-                index.setdefault(updated[column], set()).add(rowid)
         self._rows[rowid] = updated
 
     def _remove(self, rowid: int) -> None:
         row = self._rows.pop(rowid)
-        pk = self.schema.primary_key
-        if pk is not None:
-            self._primary_index.pop(row[pk], None)
-        for column, index in self._secondary.items():
-            index.get(row[column], set()).discard(rowid)
+        self._primary_index.pop(row[self.schema.primary_key], None)
 
     # -- mutations ---------------------------------------------------------
 
     def insert(self, row: Dict[str, Any]) -> Dict[str, Any]:
         """Insert a row; returns the stored (coerced, completed) row."""
         stored = self.schema.validate_row(row)
-        pk = self.schema.primary_key
-        if pk is not None and stored[pk] in self._primary_index:
+        key = stored[self.schema.primary_key]
+        if key in self._primary_index:
             raise MiniSQLError(
-                f"duplicate primary key {stored[pk]!r} in table {self.name!r}"
+                f"duplicate primary key {key!r} in table {self.name!r}"
             )
         rowid = self._next_rowid
         self._store(rowid, stored)
         self._notify("insert", {"rowid": rowid, "row": dict(stored)})
         return dict(stored)
 
-    def update(self, where: Predicate, changes: Dict[str, Any]) -> int:
-        """Update matching rows; returns the number updated."""
+    def update(self, key: Any, changes: Dict[str, Any]) -> bool:
+        """Apply ``changes`` to the row keyed ``key``; returns whether
+        that row existed."""
         for column in changes:
             self.schema.column(column)
-        count = 0
-        for rowid in list(self._candidate_rowids(where)):
-            row = self._rows.get(rowid)
-            if row is None or not where.matches(row):
-                continue
-            updated = dict(row)
-            updated.update(changes)
-            updated = self.schema.validate_row(updated)
-            pk = self.schema.primary_key
-            if (
-                pk is not None
-                and updated[pk] != row[pk]
-                and updated[pk] in self._primary_index
-            ):
-                raise MiniSQLError(
-                    f"update would duplicate primary key {updated[pk]!r}"
-                )
-            self._replace(rowid, updated)
-            self._notify("update", {"rowid": rowid, "row": dict(updated)})
-            count += 1
-        return count
+        rowid = self._primary_index.get(key)
+        if rowid is None:
+            return False
+        updated = self.schema.validate_row({**self._rows[rowid], **changes})
+        new_key = updated[self.schema.primary_key]
+        if new_key != key and new_key in self._primary_index:
+            raise MiniSQLError(
+                f"update would duplicate primary key {new_key!r}"
+            )
+        self._replace(rowid, updated)
+        self._notify("update", {"rowid": rowid, "row": dict(updated)})
+        return True
 
-    def delete(self, where: Predicate) -> int:
-        """Delete matching rows; returns the number deleted."""
-        count = 0
-        for rowid in list(self._candidate_rowids(where)):
-            row = self._rows.get(rowid)
-            if row is None or not where.matches(row):
-                continue
-            self._remove(rowid)
-            self._notify("delete", {"rowid": rowid})
-            count += 1
-        return count
+    def delete(self, key: Any) -> bool:
+        """Delete the row keyed ``key``; returns whether it existed."""
+        rowid = self._primary_index.get(key)
+        if rowid is None:
+            return False
+        self._remove(rowid)
+        self._notify("delete", {"rowid": rowid})
+        return True
 
     # -- queries -----------------------------------------------------------
 
-    def select(
-        self,
-        where: Optional[Predicate] = None,
-        columns: Optional[List[str]] = None,
-        order_by: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> List[Dict[str, Any]]:
-        """Return matching rows (copies), optionally projected and ordered."""
-        predicate = where if where is not None else Everything()
-        if columns is not None:
-            for column in columns:
-                self.schema.column(column)
-        results = []
-        for rowid in self._candidate_rowids(predicate):
-            row = self._rows.get(rowid)
-            if row is not None and predicate.matches(row):
-                results.append(dict(row))
-        if order_by is not None:
-            self.schema.column(order_by)
-            results.sort(key=lambda r: (r[order_by] is None, r[order_by]))
-        if limit is not None:
-            results = results[:limit]
-        if columns is not None:
-            results = [{c: row[c] for c in columns} for row in results]
-        return results
-
-    def count(self, where: Optional[Predicate] = None) -> int:
-        if where is None:
-            return len(self._rows)
-        return len(self.select(where))
-
     def get(self, key: Any) -> Optional[Dict[str, Any]]:
         """Primary-key point lookup; None when absent."""
-        pk = self.schema.primary_key
-        if pk is None:
-            raise SchemaError(f"table {self.name!r} has no primary key")
         rowid = self._primary_index.get(key)
         return dict(self._rows[rowid]) if rowid is not None else None
-
-    def _candidate_rowids(self, where: Predicate) -> Iterator[int]:
-        """Narrow the scan using the primary or a secondary index."""
-        pk = self.schema.primary_key
-        if pk is not None:
-            key = where.equality_on(pk)
-            if key is not None:
-                rowid = self._primary_index.get(key)
-                if rowid is not None:
-                    yield rowid
-                return
-        for column, index in self._secondary.items():
-            key = where.equality_on(column)
-            if key is not None:
-                yield from list(index.get(key, ()))
-                return
-        yield from list(self._rows)

@@ -9,16 +9,15 @@ value validation/coercion, and :class:`TableSchema`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..errors import SchemaError
 
 INTEGER = "INTEGER"
-REAL = "REAL"
 TEXT = "TEXT"
 BOOLEAN = "BOOLEAN"
 
-_COLUMN_TYPES = (INTEGER, REAL, TEXT, BOOLEAN)
+_COLUMN_TYPES = (INTEGER, TEXT, BOOLEAN)
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,6 @@ class Column:
                     f"column {self.name!r} expects INTEGER, got {value!r}"
                 )
             return value
-        if self.type == REAL:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(
-                    f"column {self.name!r} expects REAL, got {value!r}"
-                )
-            return float(value)
         if self.type == TEXT:
             if not isinstance(value, str):
                 raise SchemaError(
@@ -72,13 +65,14 @@ class Column:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Ordered set of columns with at most one primary key."""
+    """Ordered set of columns with exactly one primary key."""
 
     name: str
     columns: Tuple[Column, ...]
     _by_name: Dict[str, Column] = field(
         default_factory=dict, compare=False, repr=False
     )
+    primary_key: str = field(default="", init=False, compare=False)
 
     def __post_init__(self):
         if not self.columns:
@@ -93,18 +87,12 @@ class TableSchema:
             by_name[column.name] = column
             if column.primary_key:
                 primary_keys.append(column.name)
-        if len(primary_keys) > 1:
+        if len(primary_keys) != 1:
             raise SchemaError(
-                f"table {self.name!r} declares several primary keys"
+                f"table {self.name!r} must declare exactly one primary key"
             )
         object.__setattr__(self, "_by_name", by_name)
-
-    @property
-    def primary_key(self) -> Optional[str]:
-        for column in self.columns:
-            if column.primary_key:
-                return column.name
-        return None
+        object.__setattr__(self, "primary_key", primary_keys[0])
 
     def column(self, name: str) -> Column:
         try:

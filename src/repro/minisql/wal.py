@@ -3,17 +3,18 @@
 Format: one JSON object per line.  Record kinds:
 
 * ``{"op": "create_table", "schema": {...}}``
-* ``{"op": "create_index", "table": ..., "column": ...}``
 * ``{"op": "insert"|"update"|"delete", "table": ..., "payload": {...}}``
+  — the payload is ``{"rowid": ..., "row": {...}}`` (a delete's is just
+  ``{"rowid": ...}``)
 * ``{"op": "checkpoint"}`` — everything before the *last* checkpoint marker
   is superseded by the snapshot file written alongside it.
 
-``append`` fsyncs every ``sync_every`` records; ``append_many`` writes a
-group of records and fsyncs once (the runtime journal's per-batch
-commit).  A checkpoint writes a full snapshot (``<path>.snapshot``)
-atomically (one-shot encode, temp file + rename) and truncates the log.
+``append`` fsyncs each record; ``append_many`` writes a group of records
+and fsyncs once (the runtime journal's per-batch commit).  A checkpoint
+writes a full snapshot (``<path>.snapshot``) atomically (one-shot
+encode, temp file + rename) and truncates the log.
 Recovery loads the snapshot if present, then replays the remaining log
-records.
+records; a record of any other kind is a :class:`MiniSQLError`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from ..errors import MiniSQLError
 class WriteAheadLog:
     """Append-only JSON-lines log with explicit sync points."""
 
-    def __init__(self, path: str, sync_every: int = 1):
+    def __init__(self, path: str):
         self.path = path
-        self.sync_every = max(1, sync_every)
-        self._pending = 0
         self._handle: Optional[TextIO] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -61,17 +60,14 @@ class WriteAheadLog:
             self.open()
         assert self._handle is not None
         self._handle.write(_line(record))
-        self._pending += 1
-        if self._pending >= self.sync_every:
-            self._sync()
+        self._sync()
 
     def append_many(self, records: Iterable[Dict[str, Any]]) -> None:
         """Append ``records`` as one group commit: one write, one fsync.
 
-        Every record is durable when this returns, whatever
-        ``sync_every`` says.  A crash mid-write tears at most the last
-        line, which :meth:`records` skips and the next :meth:`open` cuts
-        off before appending.
+        Every record is durable when this returns.  A crash mid-write
+        tears at most the last line, which :meth:`records` skips and the
+        next :meth:`open` cuts off before appending.
         """
         text = "".join(_line(record) for record in records)
         if not text:
@@ -86,7 +82,6 @@ class WriteAheadLog:
         assert self._handle is not None
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self._pending = 0
 
     def truncate(self) -> None:
         """Drop all log content (called right after a snapshot)."""

@@ -60,7 +60,6 @@ from ..repository.store import Repository
 from ..subscription.compiler import SubscriptionCompiler
 from ..subscription.cost import CostController
 from ..subscription.manager import SubscriptionManager
-from ..triggers.answers import QueryAnswerStore
 from ..triggers.engine import TriggerEngine
 from ..xmlstore.nodes import Document
 from ..xmlstore.serializer import serialize
@@ -160,12 +159,10 @@ class SubscriptionSystem:
             report_query_runner=self._run_report_query,
             metrics=self.metrics,
         )
-        self.answer_store = QueryAnswerStore()
         self.trigger_engine = TriggerEngine(
             query_engine=self.query_engine,
             deliver=self._deliver_continuous,
             clock=self.clock,
-            answer_store=self.answer_store,
             metrics=self.metrics,
         )
         if cost_controller is None:

@@ -30,7 +30,6 @@ from ..minisql import (
     BOOLEAN,
     Column,
     Database,
-    Eq,
     INTEGER,
     TEXT,
     schema,
@@ -59,7 +58,6 @@ _SEQUENCES_SCHEMA = schema(
     Column("name", TEXT, primary_key=True),
     Column("next", INTEGER, nullable=False),
 )
-_SUBSCRIPTION_IDS = Eq("name", "subscriptions")
 
 
 def _validated(source: Union[str, Subscription]) -> Tuple[Subscription, str]:
@@ -115,10 +113,8 @@ class SubscriptionManager:
 
     def register_user(self, email: str, privileged: bool = False) -> None:
         users = self.database.table("users")
-        if users.get(email) is None:
+        if not users.update(email, {"privileged": privileged}):
             users.insert({"email": email, "privileged": privileged})
-        else:
-            users.update(Eq("email", email), {"privileged": privileged})
 
     def is_privileged(self, email: Optional[str]) -> bool:
         if email is None:
@@ -207,7 +203,7 @@ class SubscriptionManager:
                     del self._virtual_subscribers[reference]
         self.compiler.release(compiled)
         self._save_next_id()
-        self.database.table("subscriptions").delete(Eq("id", subscription_id))
+        self.database.table("subscriptions").delete(subscription_id)
 
     def _save_next_id(self) -> None:
         """Persist the next id before a delete: once a row is gone, the
@@ -218,7 +214,7 @@ class SubscriptionManager:
                 {"name": "subscriptions", "next": self._next_id}
             )
         elif mark["next"] != self._next_id:
-            self._sequences.update(_SUBSCRIPTION_IDS, {"next": self._next_id})
+            self._sequences.update("subscriptions", {"next": self._next_id})
 
     def update_subscription(
         self,
@@ -266,14 +262,14 @@ class SubscriptionManager:
         compiled = self._require(subscription_id)
         compiled.active = False
         self.database.table("subscriptions").update(
-            Eq("id", subscription_id), {"active": False}
+            subscription_id, {"active": False}
         )
 
     def resume(self, subscription_id: int) -> None:
         compiled = self._require(subscription_id)
         compiled.active = True
         self.database.table("subscriptions").update(
-            Eq("id", subscription_id), {"active": True}
+            subscription_id, {"active": True}
         )
 
     def _require(self, subscription_id: int) -> CompiledSubscription:
@@ -378,8 +374,8 @@ class SubscriptionManager:
         compiles is skipped and listed in :attr:`unrecovered`.
         """
         restored = 0
-        rows = self.database.table("subscriptions").select(order_by="id")
-        for row in rows:
+        rows = self.database.table("subscriptions").rows()
+        for row in sorted(rows, key=lambda row: row["id"]):
             if row["id"] in self._subscriptions:
                 continue
             subscription = parse_subscription(row["source"])

@@ -6,22 +6,24 @@ evaluating the continuous queries either when a particular notification is
 detected or regularly (e.g., biweekly).  The query code combined with the
 result of the query forms a notification that is sent to the Reporter."
 
-``delta`` continuous queries (Section 5.2) keep the previous result
-version: after the first full answer, only the modifications of the result
-are delivered, as a ``<Name-delta>`` element built from the versioning
-subsystem's delta (insertions/updates carry XIDs, the paper's naming
-scheme).
+Every evaluation's answer is versioned in the engine's
+:class:`~repro.triggers.answers.QueryAnswerStore` (Section 2.2).
+``delta`` continuous queries (Section 5.2) deliver what that store's
+version chain reports: after the first full answer, only the
+modifications of the result, as a ``<Name-delta>`` element built from the
+versioning subsystem's delta (insertions/updates carry XIDs, the paper's
+naming scheme).  When the answer's root element changes, the chain
+restarts and the full answer is delivered again.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..clock import Clock, SimulatedClock
-from ..diff import XidSpace, compute_delta
 from ..errors import TriggerError
 from ..language.ast import ContinuousQuery
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
@@ -32,7 +34,8 @@ from ..observability.names import (
 from ..observability.tracing import stage_histogram
 from ..language.frequencies import period_seconds
 from ..query.engine import QueryEngine
-from ..xmlstore.nodes import Document, ElementNode
+from ..xmlstore.nodes import ElementNode
+from .answers import QueryAnswerStore
 
 #: deliver(subscription_id, query_name, elements)
 DeliverCallback = Callable[[int, str, List[ElementNode]], None]
@@ -45,8 +48,6 @@ class _RegisteredQuery:
     subscription_id: int
     definition: ContinuousQuery
     next_due: Optional[float] = None
-    previous_result: Optional[Document] = None
-    xid_space: XidSpace = field(default_factory=XidSpace)
     evaluations: int = 0
 
 
@@ -63,16 +64,12 @@ class TriggerEngine:
         query_engine: QueryEngine,
         deliver: DeliverCallback,
         clock: Optional[Clock] = None,
-        answer_store=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        """``answer_store`` (a
-        :class:`~repro.triggers.answers.QueryAnswerStore`) optionally
-        versions every evaluation's answer (Section 2.2)."""
         self.query_engine = query_engine
         self.deliver = deliver
         self.clock = clock if clock is not None else SimulatedClock()
-        self.answer_store = answer_store
+        self.answer_store = QueryAnswerStore()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._tick_latency = stage_histogram(
             self.metrics, STAGE_TRIGGERS_TICK
@@ -129,8 +126,7 @@ class TriggerEngine:
     def unregister_subscription(self, subscription_id: int) -> None:
         for key in [k for k in self._queries if k[0] == subscription_id]:
             del self._queries[key]
-        if self.answer_store is not None:
-            self.answer_store.drop(subscription_id)
+        self.answer_store.drop(subscription_id)
         for trigger_key in list(self._notification_triggers):
             remaining = [
                 k
@@ -218,40 +214,18 @@ class TriggerEngine:
         self.stats.evaluations += 1
         registered.evaluations += 1
         result_document = result.to_document()
-        if self.answer_store is not None:
-            self.answer_store.record(
-                registered.subscription_id,
-                definition.name,
-                result_document,
-                evaluated_at=self.clock.now(),
-            )
-        if not definition.delta:
-            self.deliver(
-                registered.subscription_id,
-                definition.name,
-                [result_document.root],
-            )
-            self.stats.notifications_emitted += 1
-            return
-        # Delta mode: first answer in full, then only the modifications.
-        if registered.previous_result is None:
-            registered.xid_space.assign_fresh(result_document.root)
-            registered.previous_result = result_document
-            self.deliver(
-                registered.subscription_id,
-                definition.name,
-                [result_document.root],
-            )
-            self.stats.notifications_emitted += 1
-            return
-        delta = compute_delta(
-            registered.previous_result, result_document, registered.xid_space
+        _, delta = self.answer_store.record(
+            registered.subscription_id,
+            definition.name,
+            result_document,
+            evaluated_at=self.clock.now(),
         )
-        registered.previous_result = result_document
-        if not delta:
+        # Delta mode: a chain's first answer in full, then its changes.
+        if not definition.delta or delta is None:
+            element = result_document.root
+        elif delta:
+            element = delta.to_element(name=f"{definition.name}-delta")
+        else:
             return
-        delta_element = delta.to_element(name=f"{definition.name}-delta")
-        self.deliver(
-            registered.subscription_id, definition.name, [delta_element]
-        )
+        self.deliver(registered.subscription_id, definition.name, [element])
         self.stats.notifications_emitted += 1

@@ -116,11 +116,6 @@ class TestRegistrationLifecycle:
         with pytest.raises(MonitoringError):
             alerter.register(1, key("tag_present", ("t", None, False)))
 
-    def test_trie_variant(self):
-        alerter = URLAlerter(prefix_structure="trie")
-        alerter.register(1, key("url_extends", "http://a/"))
-        assert alerter.detect(fetched("http://a/x"))[0] == {1}
-
 
 class TestMultipleConditionsOneDocument:
     def test_all_families_fire_together(self, alerter):

@@ -15,7 +15,6 @@ from repro.errors import MiniSQLError
 from repro.minisql import (
     Column,
     Database,
-    Eq,
     INTEGER,
     TEXT,
     schema,
@@ -57,16 +56,13 @@ def apply_ops(db, model, ops):
                 model[key] = {"id": key, "name": name, "score": None}
         elif op[0] == "update":
             _, key, score = op
-            count = table.update(Eq("id", key), {"score": score})
-            if key in model:
-                assert count == 1
+            existed = table.update(key, {"score": score})
+            assert existed == (key in model)
+            if existed:
                 model[key]["score"] = score
-            else:
-                assert count == 0
         elif op[0] == "delete":
             _, key = op
-            count = table.delete(Eq("id", key))
-            assert count == (1 if key in model else 0)
+            assert table.delete(key) == (key in model)
             model.pop(key, None)
         else:
             db.checkpoint()

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import MiniSQLError, SchemaError
-from repro.minisql import Column, Eq, Gt, INTEGER, Like, TEXT, Table, schema
+from repro.minisql import Column, INTEGER, TEXT, Table, schema
 
 
 def make_table():
@@ -42,38 +42,11 @@ class TestInsert:
         assert len(users) == 3
 
 
-class TestSelect:
-    def test_select_all(self, users):
-        assert len(users.select()) == 3
-
-    def test_select_where(self, users):
-        rows = users.select(Gt("age", 29))
-        assert {row["name"] for row in rows} == {"nguyen", "abiteboul"}
-
-    def test_select_projection(self, users):
-        rows = users.select(Eq("id", 1), columns=["name"])
-        assert rows == [{"name": "nguyen"}]
-
-    def test_select_order_by_and_limit(self, users):
-        rows = users.select(order_by="age", limit=2)
-        assert [row["name"] for row in rows] == ["cobena", "nguyen"]
-
-    def test_select_unknown_projection_column(self, users):
-        with pytest.raises(SchemaError):
-            users.select(columns=["nope"])
-
-    def test_returned_rows_are_copies(self, users):
-        row = users.select(Eq("id", 1))[0]
-        row["name"] = "EVIL"
-        assert users.get(1)["name"] == "nguyen"
-
-    def test_like_predicate(self, users):
-        rows = users.select(Like("name", "%b%"))
-        assert {row["name"] for row in rows} == {"abiteboul", "cobena"}
-
-    def test_count(self, users):
-        assert users.count() == 3
-        assert users.count(Gt("age", 100)) == 0
+class TestRows:
+    def test_rows_yields_every_row(self, users):
+        assert sorted(row["name"] for row in users.rows()) == [
+            "abiteboul", "cobena", "nguyen",
+        ]
 
 
 class TestGet:
@@ -83,64 +56,44 @@ class TestGet:
     def test_missing_key_returns_none(self, users):
         assert users.get(99) is None
 
-    def test_get_without_primary_key_raises(self):
-        table = Table(schema("t", Column("x", TEXT)))
-        with pytest.raises(SchemaError):
-            table.get("x")
+    def test_returned_rows_are_copies(self, users):
+        users.get(1)["name"] = "EVIL"
+        next(users.rows())["name"] = "EVIL"
+        assert users.get(1)["name"] == "nguyen"
 
 
 class TestUpdate:
     def test_update_matching_rows(self, users):
-        count = users.update(Gt("age", 29), {"age": 99})
-        assert count == 2
+        assert users.update(1, {"age": 99}) is True
         assert users.get(1)["age"] == 99
+        assert users.get(2)["age"] == 45
+        assert users.update(99, {"age": 1}) is False
+        assert len(users) == 3
 
     def test_update_primary_key(self, users):
-        users.update(Eq("id", 3), {"id": 30})
+        users.update(3, {"id": 30})
         assert users.get(3) is None
         assert users.get(30)["name"] == "cobena"
 
     def test_update_to_duplicate_key_rejected(self, users):
         with pytest.raises(MiniSQLError):
-            users.update(Eq("id", 3), {"id": 1})
+            users.update(3, {"id": 1})
+        assert users.get(3)["name"] == "cobena"
 
     def test_update_unknown_column_rejected(self, users):
         with pytest.raises(SchemaError):
-            users.update(Eq("id", 1), {"nope": 1})
+            users.update(1, {"nope": 1})
 
 
 class TestDelete:
-    def test_delete_returns_count(self, users):
-        assert users.delete(Gt("age", 29)) == 2
-        assert len(users) == 1
+    def test_delete_reports_whether_row_existed(self, users):
+        assert users.delete(1) is True
+        assert users.delete(1) is False
+        assert len(users) == 2
 
     def test_deleted_rows_gone_from_pk_index(self, users):
-        users.delete(Eq("id", 1))
+        users.delete(1)
         assert users.get(1) is None
-
-
-class TestSecondaryIndex:
-    def test_index_used_for_equality(self, users):
-        users.create_index("name")
-        rows = users.select(Eq("name", "cobena"))
-        assert rows[0]["id"] == 3
-
-    def test_index_maintained_on_update_and_delete(self, users):
-        users.create_index("name")
-        users.update(Eq("id", 3), {"name": "renamed"})
-        assert users.select(Eq("name", "renamed"))[0]["id"] == 3
-        assert users.select(Eq("name", "cobena")) == []
-        users.delete(Eq("name", "renamed"))
-        assert users.select(Eq("name", "renamed")) == []
-
-    def test_index_on_unknown_column_rejected(self, users):
-        with pytest.raises(SchemaError):
-            users.create_index("nope")
-
-    def test_index_creation_is_idempotent(self, users):
-        users.create_index("name")
-        users.create_index("name")
-        assert users.select(Eq("name", "nguyen"))[0]["id"] == 1
 
 
 class TestObserver:
@@ -149,6 +102,10 @@ class TestObserver:
         events = []
         table.observer = lambda op, name, payload: events.append((op, name))
         table.insert({"id": 1, "name": "x"})
-        table.update(Eq("id", 1), {"age": 5})
-        table.delete(Eq("id", 1))
-        assert [op for op, _ in events] == ["insert", "update", "delete"]
+        table.update(1, {"age": 5})
+        table.delete(1)
+        table.update(1, {"age": 6})  # no row: nothing to log
+        table.delete(1)
+        assert events == [
+            ("insert", "users"), ("update", "users"), ("delete", "users"),
+        ]

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.minisql import BOOLEAN, Column, INTEGER, REAL, TEXT, TableSchema, schema
+from repro.minisql import BOOLEAN, Column, INTEGER, TEXT, TableSchema, schema
 
 
 class TestColumn:
@@ -20,13 +20,6 @@ class TestColumn:
             column.coerce("5")
         with pytest.raises(SchemaError):
             column.coerce(True)  # bool is not INTEGER
-
-    def test_real_accepts_int_and_float(self):
-        column = Column("x", REAL)
-        assert column.coerce(2) == 2.0
-        assert column.coerce(2.5) == 2.5
-        with pytest.raises(SchemaError):
-            column.coerce("2.5")
 
     def test_text(self):
         column = Column("t", TEXT)
@@ -50,8 +43,13 @@ class TestColumn:
 
 class TestTableSchema:
     def test_duplicate_columns_rejected(self):
-        with pytest.raises(SchemaError):
-            schema("t", Column("a", TEXT), Column("a", TEXT))
+        with pytest.raises(SchemaError, match="duplicate"):
+            schema(
+                "t",
+                Column("id", INTEGER, primary_key=True),
+                Column("a", TEXT),
+                Column("a", TEXT),
+            )
 
     def test_two_primary_keys_rejected(self):
         with pytest.raises(SchemaError):
@@ -61,6 +59,10 @@ class TestTableSchema:
                 Column("b", INTEGER, primary_key=True),
             )
 
+    def test_missing_primary_key_rejected(self):
+        with pytest.raises(SchemaError, match="exactly one primary key"):
+            schema("t", Column("a", TEXT), Column("b", INTEGER))
+
     def test_empty_schema_rejected(self):
         with pytest.raises(SchemaError):
             TableSchema(name="t", columns=())
@@ -69,14 +71,15 @@ class TestTableSchema:
         s = schema("t", Column("id", INTEGER, primary_key=True),
                    Column("x", TEXT))
         assert s.primary_key == "id"
-        assert schema("u", Column("x", TEXT)).primary_key is None
 
     def test_validate_row_fills_missing_with_null(self):
-        s = schema("t", Column("a", TEXT), Column("b", INTEGER))
+        s = schema(
+            "t", Column("a", TEXT, primary_key=True), Column("b", INTEGER)
+        )
         assert s.validate_row({"a": "x"}) == {"a": "x", "b": None}
 
     def test_validate_row_rejects_unknown_columns(self):
-        s = schema("t", Column("a", TEXT))
+        s = schema("t", Column("a", TEXT, primary_key=True))
         with pytest.raises(SchemaError):
             s.validate_row({"zz": 1})
 

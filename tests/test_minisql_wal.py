@@ -23,12 +23,16 @@ class TestAppendAndRead:
     def test_missing_file_yields_nothing(self, wal_path):
         assert list(WriteAheadLog(wal_path).records()) == []
 
-    def test_sync_every_batches_flushes(self, wal_path):
-        log = WriteAheadLog(wal_path, sync_every=10)
-        for n in range(5):
+    def test_append_syncs_each_record(self, wal_path, monkeypatch):
+        syncs = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: syncs.append(fd) or fsync(fd))
+        log = WriteAheadLog(wal_path)
+        for n in range(3):
             log.append({"n": n})
+            assert len(syncs) == n + 1
         log.close()
-        assert len(list(WriteAheadLog(wal_path).records())) == 5
+        assert len(list(WriteAheadLog(wal_path).records())) == 3
 
     def test_truncate_clears_log(self, wal_path):
         log = WriteAheadLog(wal_path)

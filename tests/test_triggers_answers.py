@@ -124,9 +124,9 @@ class TestEngineIntegration:
             "<painting><title>Milkmaid</title></painting></museum>",
         )
         system.advance_days(1)
-        versions = system.answer_store.retained_versions(sub_id, "Paintings")
+        versions = system.trigger_engine.answer_store.retained_versions(sub_id, "Paintings")
         assert versions == [2, 1]
-        v1 = system.answer_store.version(sub_id, "Paintings", 1)
+        v1 = system.trigger_engine.answer_store.version(sub_id, "Paintings", 1)
         assert "Milkmaid" not in serialize(v1)
-        latest = system.answer_store.latest(sub_id, "Paintings")
+        latest = system.trigger_engine.answer_store.latest(sub_id, "Paintings")
         assert "Milkmaid" in serialize(latest)

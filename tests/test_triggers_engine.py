@@ -3,7 +3,7 @@ import pytest
 from repro.clock import SECONDS_PER_DAY, SECONDS_PER_WEEK, SimulatedClock
 from repro.errors import TriggerError
 from repro.language.ast import ContinuousQuery, NotificationTrigger
-from repro.query import QueryEngine
+from repro.query import QueryEngine, QueryResult
 from repro.triggers import TriggerEngine
 
 
@@ -109,6 +109,31 @@ class TestDeltaQueries:
         delta_element = deliveries[1][2][0]
         assert delta_element.tag == "Paintings-delta"
         assert delta_element.first("inserted") is not None
+
+    def test_root_change_restarts_chain_with_full_answer(
+        self, clock, deliveries
+    ):
+        class RenamingQueryEngine:
+            """Answers under a new root element on every evaluation."""
+
+            roots = iter(["First", "Second"])
+
+            def evaluate(self, query_text, name):
+                return QueryResult(["Night Watch"], next(self.roots))
+
+        engine = TriggerEngine(
+            query_engine=RenamingQueryEngine(),
+            deliver=lambda *delivery: deliveries.append(delivery),
+            clock=clock,
+        )
+        engine.register(1, "S", periodic(delta=True))
+        for _ in range(2):
+            clock.advance(SECONDS_PER_WEEK / 2)
+            engine.tick()
+        assert [elements[0].tag for _, _, elements in deliveries] == [
+            "First", "Second",
+        ]
+        assert engine.answer_store.retained_versions(1, "Paintings") == [2]
 
 
 class TestNotificationTriggers:

@@ -58,15 +58,14 @@ def test_delta_query_and_answer_store_match_independent_copies(
     repository, clock
 ):
     deliveries = []
-    store = QueryAnswerStore()
     engine = TriggerEngine(
         query_engine=QueryEngine(repository),
         deliver=lambda sub, name, elements: deliveries.append(
             [serialize(element) for element in elements]
         ),
         clock=clock,
-        answer_store=store,
     )
+    store = engine.answer_store
     engine.register(
         1,
         "S",
