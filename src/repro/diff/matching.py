@@ -20,6 +20,20 @@ objects, and only inserted and updated text is tokenised again.  Both
 caches assume the trees are not mutated once cached: callers edit a
 ``copy_document`` copy.
 
+The new version may come from the repository's signing parse
+(``repro.xmlstore.parser.parse(source, memo)``), whose children lists
+hold a *placeholder*, the subtree's signature (an ``int``), wherever the
+old version holds an identical subtree.  The diff resolves every one: an
+anchored placeholder is taken over like any anchored subtree; one left in
+a gap, or inside an inserted subtree, becomes a copy of an old subtree
+with that signature, found by a walk of the old version that goes only
+as far as the lookups need.  A copy is one node deep, and its
+children are placeholders again, so a gap-paired copy takes over the old
+element's unchanged children.  If no old subtree has the signature,
+:class:`~repro.errors.DiffError` is raised and the repository restarts
+the lineage.  After ``compute_delta`` the new version holds no
+placeholder.
+
 ``compute_delta`` also hands back, beside the delta, the new-version
 elements its operations touch, so change classification reads them
 instead of indexing both trees by XID.
@@ -31,7 +45,14 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DiffError
-from ..xmlstore.nodes import Document, ElementNode, Node, TextNode
+from ..xmlstore.nodes import (
+    Document,
+    ElementNode,
+    Node,
+    TextNode,
+    new_element,
+    new_text,
+)
 from .delta import Delta, DeleteOp, InsertOp, UpdateAttributesOp, UpdateTextOp
 from .signature import document_signature
 from .xids import XidSpace, require_xid
@@ -53,9 +74,10 @@ def compute_delta(
     (``document_signature``).  ``new_document`` takes over every subtree
     of ``old_document`` that it holds unchanged: the old subtree, with its
     XIDs, signatures and words, moves into the new tree in place of its
-    twin.  Every other node of ``new_document`` receives an XID — matched
-    nodes inherit the old node's, inserted nodes get fresh ones from
-    ``xid_space``.
+    twin or placeholder.  Every other placeholder becomes a copy of an
+    old subtree (see the module docstring).  Every other node of
+    ``new_document`` receives an XID — matched nodes inherit the old
+    node's, inserted nodes get fresh ones from ``xid_space``.
 
     Afterwards ``old_document`` is still correct read top-down, since its
     children lists are intact, but a moved node's ``parent`` is in the new
@@ -79,7 +101,7 @@ def compute_delta(
         )
     document_signature(old_document)
     document_signature(new_document)
-    matcher = _Matcher(xid_space)
+    matcher = _Matcher(xid_space, old_root)
     matcher.match_elements(old_root, new_root)
     if touched is not None:
         touched.extend(
@@ -97,13 +119,19 @@ class _Matcher:
     """One diff's state: the delta being built and, one list per operation
     list, the new-version elements it touches."""
 
-    def __init__(self, xid_space: XidSpace):
+    def __init__(self, xid_space: XidSpace, old_root: ElementNode):
         self.xid_space = xid_space
         self.delta = Delta()
         self.text_parents: List[ElementNode] = []
         self.attribute_elements: List[ElementNode] = []
         self.insert_parents: List[ElementNode] = []
         self.delete_parents: List[ElementNode] = []
+        # Signature -> a node of the old version with it, filled by one
+        # walk of the old version that goes only as far as the lookups
+        # need; ``_unwalked`` holds the elements whose children it has
+        # not indexed yet.
+        self._old_nodes: Dict[int, Node] = {old_root.signature: old_root}  # type: ignore[dict-item]
+        self._unwalked: List[ElementNode] = [old_root]
 
     def match_elements(self, old: ElementNode, new: ElementNode) -> None:
         """Match two same-tag elements: propagate XID, diff attrs and
@@ -128,11 +156,11 @@ class _Matcher:
         new_children = new.children
         anchors = _lcs_pairs(
             [child.signature for child in old_children],
-            [child.signature for child in new_children],
+            [c if c.__class__ is int else c.signature for c in new_children],
         )
 
-        # Take over each anchored subtree: it is identical, down to its
-        # XIDs, signatures and words.
+        # Take over each anchored subtree (or placeholder): it is
+        # identical, down to its XIDs, signatures and words.
         for old_index, new_index in anchors:
             old_child = old_children[old_index]
             new_children[new_index] = old_child
@@ -148,6 +176,10 @@ class _Matcher:
             previous = (old_anchor, new_anchor)
             if not (gap_old or gap_new):
                 continue
+            for new_index in gap_new:
+                child = new_children[new_index]
+                if child.__class__ is int:
+                    new_children[new_index] = self._copy_of(child, new)
             pairs, unmatched_old, unmatched_new = _pair_gap(
                 [old_children[i] for i in gap_old],
                 [new_children[j] for j in gap_new],
@@ -175,6 +207,8 @@ class _Matcher:
             for offset_new in unmatched_new:
                 new_index = gap_new[offset_new]
                 subtree = new_children[new_index]
+                if subtree.__class__ is ElementNode:
+                    self._resolve(subtree)
                 self.xid_space.assign_fresh(subtree)
                 delta.inserts.append(
                     InsertOp(
@@ -197,6 +231,50 @@ class _Matcher:
                 )
             )
             self.delete_parents.append(new)
+
+    def _copy_of(self, signature: int, parent: ElementNode) -> Node:
+        """A copy, under ``parent``, of the old subtree the placeholder
+        ``signature`` stands for.
+
+        The copy is one node deep: an element copy's children are the
+        placeholders of the old element's children, which the caller
+        resolves like any other.  It carries the signature, but no XID
+        and no words, like the node a plain parse would have built.
+        """
+        old_nodes = self._old_nodes
+        unwalked = self._unwalked
+        while signature not in old_nodes:
+            if not unwalked:
+                raise DiffError(
+                    f"no subtree of the old version has signature {signature}"
+                )
+            for child in unwalked.pop().children:
+                old_nodes.setdefault(child.signature, child)  # type: ignore[arg-type]
+                if child.__class__ is ElementNode:
+                    unwalked.append(child)  # type: ignore[arg-type]
+        node = old_nodes[signature]
+        if type(node) is TextNode:
+            copy: Node = new_text(None, node.data, None, signature)
+        else:
+            copy = new_element(
+                None,
+                node.tag,  # type: ignore[attr-defined]
+                dict(node.attributes),  # type: ignore[attr-defined]
+                None,
+                signature,
+                [child.signature for child in node.children],  # type: ignore
+            )
+        copy.parent = parent
+        return copy
+
+    def _resolve(self, element: ElementNode) -> None:
+        """Replace every placeholder under ``element`` by a copy."""
+        children = element.children
+        for index, child in enumerate(children):
+            if child.__class__ is int:
+                child = children[index] = self._copy_of(child, element)
+            if child.__class__ is ElementNode:
+                self._resolve(child)
 
 
 def _pair_gap(

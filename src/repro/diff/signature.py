@@ -10,18 +10,29 @@ Each version is signed against the previous version of its document.  A
 stored document keeps a :class:`SignatureMemo` of its current version:
 every subtree's *content key* mapped to its signature.  The key is the
 text of a text node, and for an element the bytes its signature hashes,
-which encode its tag, sorted attribute items and child signatures.
-Signing the next version looks each subtree's key up in the memo and runs
-BLAKE2b only on a miss, so a page that changed in one price hashes little
-more than that price's ancestors.  A signature is a pure function of its
-key, so a memo from any other tree can only miss, never give a wrong
-value.  Keys are ``str`` and ``bytes`` and values ``int``, none of which
-the cyclic garbage collector tracks, so a memo adds no work to its
-collections.  :func:`document_signature` signs a document only while it
-is unsigned (``root.signature`` is None), so the repository's
-whole-document signature and both sides of a later ``compute_delta`` read
-the same pass, and a subtree the next version takes over from this one
-(see ``repro.diff.matching``) keeps its signatures for the diff after.
+which encode its tag, sorted attribute items and child signatures
+(:func:`element_keyer` builds them, for :func:`sign_subtree` and the
+signing parse alike).  Signing the next version looks each subtree's key
+up in the memo and runs BLAKE2b only on a miss, so a page that changed in
+one price hashes little more than that price's ancestors.  A signature is
+a pure function of its key, so a memo from any other tree can only miss,
+never give a wrong value.  Keys are ``str`` and ``bytes`` and values
+``int``, none of which the cyclic garbage collector tracks, so a memo
+adds no work to its collections.
+
+The repository signs a fetched page while parsing it
+(``repro.xmlstore.parser.parse(source, memo)``), and builds no node for a
+subtree the memo holds: the signature stands in the parent's children
+list as a placeholder until ``compute_delta`` puts the stored subtree, or
+a copy of it, there.  That only works while the memo holds the keys of
+the stored version and of no other tree, which the repository keeps
+true.  :func:`sign_subtree` signs a tree already built (a ``Document``
+input, a tree a caller built).  :func:`document_signature` signs a
+document only while it is unsigned (``root.signature`` is None), so the
+repository's whole-document signature and both sides of a later
+``compute_delta`` read the same pass, and a subtree the next version
+takes over from this one (see ``repro.diff.matching``) keeps its
+signatures for the diff after.
 
 HTML pages are not warehoused by Xyleme; for them the system only keeps "the
 signature of the old page" and can merely report changed/unchanged
@@ -32,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from struct import Struct
-from typing import Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, Optional, Sequence
 
 from ..xmlstore.nodes import Document, Node, TextNode
 
@@ -50,12 +61,57 @@ def page_signature(content: str) -> int:
     return _digest(content.encode("utf-8", errors="replace"))
 
 
+def text_signature(data: str) -> int:
+    """Signature of a text node; its content key is ``data`` itself."""
+    return _digest(b"T" + data.encode("utf-8", errors="replace"))
+
+
+#: The signature of an element, computed from its content key.
+element_signature = _digest
+
+
+def element_keyer() -> Callable[[str, Dict[str, str], Sequence[int]], bytes]:
+    """A function ``(tag, attributes, child signatures) -> content key``
+    for one signing pass.
+
+    The key is the bytes an element's signature hashes: its tag, its
+    sorted attribute items and its ordered child signatures, each after a
+    zero byte.  :func:`sign_subtree` and the signing parse
+    (``repro.xmlstore.parser.parse`` with a memo) both build keys with
+    it, so the format is written once.  The function caches, for its
+    pass, each tag's key head and a packer per child count.
+    """
+    heads: Dict[str, bytes] = {}
+    packers: Dict[int, Struct] = {}
+
+    def element_key(
+        tag: str, attributes: Dict[str, str], signatures: Sequence[int]
+    ) -> bytes:
+        key = heads.get(tag)
+        if key is None:
+            key = heads[tag] = b"E\x00" + tag.encode("utf-8")
+        if attributes:
+            for name in sorted(attributes):
+                key += b"\x00A\x00%s\x00=\x00%s" % (
+                    name.encode("utf-8"), attributes[name].encode("utf-8")
+                )
+        if signatures:
+            count = len(signatures)
+            packer = packers.get(count)
+            if packer is None:
+                packer = packers[count] = Struct(">" + "xQ" * count)
+            key += packer.pack(*signatures)
+        return key
+
+    return element_key
+
+
 class SignatureMemo:
     """Content key -> signature of every subtree of one version.
 
-    :func:`sign_subtree` reads it and then replaces its entries with
-    those of the tree it signed, so it never holds more keys than that
-    tree has nodes.
+    :func:`sign_subtree` and the signing parse read it and then replace
+    its entries with those of the tree they signed, so it never holds
+    more keys than that tree has nodes.
     """
 
     __slots__ = ("entries",)
@@ -79,38 +135,23 @@ def sign_subtree(root: Node, memo: Optional[SignatureMemo] = None) -> int:
     """
     known = memo.entries if memo is not None else {}
     keys: Dict[Hashable, int] = {}
-    # Per pass: tag -> its payload head; child count -> a packer of that
-    # many child signatures, each after a zero byte.
-    heads: Dict[str, bytes] = {}
-    packers: Dict[int, Struct] = {}
+    element_key = element_keyer()
 
     def sign(node: Node) -> int:
         if type(node) is TextNode:
             key: Hashable = node.data
             signature = known.get(key)
             if signature is None:
-                signature = _digest(b"T" + node.data.encode("utf-8", errors="replace"))
+                signature = text_signature(node.data)
         else:
-            tag = node.tag  # type: ignore[attr-defined]
-            key = heads.get(tag)
-            if key is None:
-                key = heads[tag] = b"E\x00" + tag.encode("utf-8")
-            attributes = node.attributes  # type: ignore[attr-defined]
-            if attributes:
-                for name in sorted(attributes):
-                    key += b"\x00A\x00%s\x00=\x00%s" % (
-                        name.encode("utf-8"), attributes[name].encode("utf-8")
-                    )
-            children = node.children  # type: ignore[attr-defined]
-            if children:
-                count = len(children)
-                packer = packers.get(count)
-                if packer is None:
-                    packer = packers[count] = Struct(">" + "xQ" * count)
-                key += packer.pack(*map(sign, children))
+            key = element_key(
+                node.tag,  # type: ignore[attr-defined]
+                node.attributes,  # type: ignore[attr-defined]
+                [sign(child) for child in node.children],  # type: ignore[attr-defined]
+            )
             signature = known.get(key)
             if signature is None:
-                signature = _digest(key)
+                signature = element_signature(key)
         keys[key] = node.signature = signature
         return signature
 

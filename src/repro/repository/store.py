@@ -13,21 +13,34 @@ versions, and the new-version elements the delta touches (beside the
 delta rather than in it, so the version history pins no new-version
 nodes).
 
-Each version is signed once, against the previous version.  A fetched
-page is first hashed as raw text; when the hash equals that of the text
-last stored for the URL, the page is unchanged and is neither parsed nor
-signed.  Otherwise it is parsed and signed against the stored document's
-:class:`~repro.diff.signature.SignatureMemo`, which holds the content key
-and signature of every subtree of the version signed last: only subtrees
-the memo does not hold are hashed, and the memo then holds the new
-version's.  The memo is per stored document and is not checkpointed, so a
-restored document signs its next version cold.  Each subtree signature
+Each version is signed once, against the previous version, while it is
+parsed.  A fetched page is first hashed as raw text; when the hash equals
+that of the text last stored for the URL, the page is unchanged and is
+neither parsed nor signed.  Otherwise it is parsed together with the
+stored document's :class:`~repro.diff.signature.SignatureMemo` (a new
+URL's page with a fresh one), which holds the content key and signature of
+every subtree of the stored version: only subtrees the memo does not hold
+are hashed and built, each other one is left as a signature placeholder,
+and the memo then holds the new version's keys.  Each subtree signature
 stays on its node (``Node.signature``), where ``compute_delta`` reads it
 now and again when the next version arrives.
 
+The memo must hold the keys of the stored version, since a placeholder
+is resolved from that version's subtrees.  So every path keeps the two
+together: a new URL, a ``Document`` input (signed with ``sign_subtree``)
+and a restore (its parse, with a fresh memo) fill the memo from the tree
+they store; a page rejected by the parser leaves it unchanged; a page
+whose tree equals the stored one leaves the keys it had; and an XML fetch
+of a URL stored as HTML signs into a fresh memo before it is refused.  No
+placeholder leaves the repository: an unchanged tree is dropped,
+``compute_delta`` resolves every placeholder of an update, and a lineage
+restart parses the page again, whole, with a fresh memo.  The memo is
+not checkpointed.
+
 An updated version takes over the stored version's unchanged subtrees
 (``compute_delta``): only its changed nodes and their ancestors are new
-objects.  So once a newer version of a URL is stored, the older one, a
+objects, and the parse built no others.  So once a newer version of a
+URL is stored, the older one, a
 :attr:`FetchOutcome.old_document` or an earlier outcome's ``document``,
 may only be read top-down from its root (walked, copied, serialized):
 the ``parent`` of a node it shares with the newer version points into
@@ -79,6 +92,7 @@ from ..diff import (
     copy_document,
     document_signature,
     page_signature,
+    sign_subtree,
 )
 from ..errors import DiffError, DocumentNotFound, RepositoryError
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
@@ -138,8 +152,9 @@ class _StoredDocument:
     #: ``current`` encoded for :meth:`state_dict` (``xml``, ``xids``,
     #: ``next_xid``), kept until :meth:`set_current` stores a new version.
     _entry: Optional[Dict] = field(default=None, repr=False)
-    #: Content key -> signature of the last version signed for this URL;
-    #: the next version is signed against it.  Not checkpointed.
+    #: Content key -> signature of every subtree of ``current``; the next
+    #: version is parsed and signed against it.  Not checkpointed: a
+    #: restore rebuilds it while parsing.
     memo: SignatureMemo = field(default_factory=SignatureMemo, repr=False)
 
     def set_current(self, document: Document, text: Optional[str]) -> None:
@@ -177,7 +192,8 @@ class _StoredDocument:
         meta = DocumentMeta(**state["meta"])
         if "xml" not in state:
             return cls(meta=meta, current=None, xid_space=None)
-        document = parse(state["xml"])
+        memo = SignatureMemo()
+        document = parse(state["xml"], memo)
         nodes = list(document.preorder())
         xids, next_xid = state["xids"], state["next_xid"]
         if len(nodes) != len(xids):
@@ -195,7 +211,10 @@ class _StoredDocument:
         for node, xid in zip(nodes, xids):
             node.xid = xid
         stored = cls(
-            meta=meta, current=None, xid_space=XidSpace(first_xid=next_xid)
+            meta=meta,
+            current=None,
+            xid_space=XidSpace(first_xid=next_xid),
+            memo=memo,
         )
         stored.set_current(document, state["xml"])
         return stored
@@ -255,16 +274,23 @@ class Repository:
         now = self.clock.now()
         doc_id = self._by_url.get(url)
         stored = None if doc_id is None else self._docs[doc_id]
+        # The stored XML version's memo; a new URL, or one stored as
+        # HTML, signs into a fresh one.
+        if stored is not None and stored.current is not None:
+            memo = stored.memo
+        else:
+            memo = SignatureMemo()
         raw_signature = None
         if isinstance(content, str):
             raw_signature = page_signature(content)
             if stored is not None and raw_signature == stored.raw_signature:
                 return self._unchanged(stored, now)
-            document, text = parse(content), content
+            document, text = parse(content, memo), content
         else:
             document, text = content, None
+            sign_subtree(document.root, memo)
         if stored is None:
-            outcome = self._store_new_xml(url, document, text, now)
+            outcome = self._store_new_xml(url, document, text, now, memo)
             stored = self._docs[outcome.meta.doc_id]
         else:
             outcome = self._store_version(stored, document, text, now)
@@ -284,7 +310,7 @@ class Repository:
             )
         assert stored.current is not None and stored.xid_space is not None
         stored.meta.last_accessed = now
-        new_signature = document_signature(document, stored.memo)
+        new_signature = document_signature(document)
         if new_signature == stored.meta.signature:
             return self._same_tree(stored, document, now)
         touched: List[ElementNode] = []
@@ -349,20 +375,24 @@ class Repository:
         )
 
     def _store_new_xml(
-        self, url: str, document: Document, text: Optional[str], now: float
+        self,
+        url: str,
+        document: Document,
+        text: Optional[str],
+        now: float,
+        memo: SignatureMemo,
     ) -> FetchOutcome:
         doc_id = self._next_doc_id
         self._next_doc_id += 1
         xid_space = XidSpace()
         xid_space.assign_fresh(document.root)
-        memo = SignatureMemo()
         meta = DocumentMeta(
             doc_id=doc_id,
             url=url,
             kind=XML,
             last_accessed=now,
             last_updated=now,
-            signature=document_signature(document, memo),
+            signature=document_signature(document),
             version=1,
         )
         self._record_dtd(meta, document)
@@ -385,6 +415,11 @@ class Repository:
         signature: int,
     ) -> FetchOutcome:
         old_document = stored.current
+        if text is not None:
+            # The signing parse left placeholders for the old version's
+            # subtrees: parse the page again, whole, for the new lineage.
+            stored.memo = SignatureMemo()
+            document = parse(text, stored.memo)
         xid_space = XidSpace()
         xid_space.assign_fresh(document.root)
         stored.xid_space = xid_space

@@ -378,11 +378,11 @@ class SubscriptionManager:
         for row in sorted(rows, key=lambda row: row["id"]):
             if row["id"] in self._subscriptions:
                 continue
-            subscription = parse_subscription(row["source"])
             recipients = tuple(
                 r for r in (row["recipients"] or "").split(",") if r
             )
             try:
+                subscription = parse_subscription(row["source"])
                 compiled = self.compiler.compile(
                     row["id"],
                     subscription,
@@ -392,7 +392,8 @@ class SubscriptionManager:
                     privileged=bool(row["privileged"]),
                 )
             except SubscriptionError as exc:
-                # Stored before subscribe compiled templates: skip the row.
+                # Stored under an older grammar or before subscribe
+                # compiled templates: skip the row.
                 self.unrecovered[row["id"]] = str(exc)
                 continue
             compiled.active = bool(row["active"])

@@ -15,6 +15,11 @@ Nodes also carry an optional ``xid`` (Xyleme persistent identifier, see
 and an optional ``signature``, the content hash of their subtree (see
 ``repro.diff.signature``) that the diff anchors identical subtrees on.
 
+Inside the repository, between the signing parse and the diff, an
+element's ``children`` may also hold placeholders: the signature (an
+``int``) of a subtree the stored version already holds (see
+``repro.xmlstore.parser``).  No tree outside the repository holds one.
+
 Slot defaults live here only: the constructors store every slot directly,
 and so do :func:`new_element` and :func:`new_text`, the factories that
 tree builders (the parser, subtree copies) use to create a node and link
@@ -223,33 +228,40 @@ def new_element(
     tag: str,
     attributes: Dict[str, str],
     xid: Optional[int] = None,
+    signature: Optional[int] = None,
+    children: Optional[List[Node]] = None,
 ) -> ElementNode:
     """Create an element and append it to ``parent`` (when given).
 
     Unlike the constructor, ``attributes`` is taken as is, not copied: the
     caller hands over a dict no other node holds.  ``parent`` must be an
-    element still under construction, so there is nothing to detach.
+    element still under construction, so there is nothing to detach.  So
+    is ``children`` when given: it becomes the element's list, and the
+    caller points each child's ``parent`` at the element.
     """
     node = _new_node(ElementNode)
     node.parent = parent
     node.xid = xid
-    node.signature = None
+    node.signature = signature
     node.tag = tag
     node.attributes = attributes
-    node.children = []
+    node.children = [] if children is None else children
     if parent is not None:
         parent.children.append(node)
     return node
 
 
 def new_text(
-    parent: Optional[ElementNode], data: str, xid: Optional[int] = None
+    parent: Optional[ElementNode],
+    data: str,
+    xid: Optional[int] = None,
+    signature: Optional[int] = None,
 ) -> TextNode:
     """Create a text node and append it to ``parent`` (when given)."""
     node = _new_node(TextNode)
     node.parent = parent
     node.xid = xid
-    node.signature = None
+    node.signature = signature
     node.data = data
     node.words = None
     if parent is not None:

@@ -79,9 +79,9 @@ def parse_calls(monkeypatch):
     """Texts handed to the repository's ``parse``, in call order."""
     calls = []
 
-    def counting_parse(content):
+    def counting_parse(content, memo=None):
         calls.append(content)
-        return parse(content)
+        return parse(content, memo)
 
     monkeypatch.setattr(store_module, "parse", counting_parse)
     return calls

@@ -214,6 +214,33 @@ class TestPersistenceAndRecovery:
         )
         assert second > first
 
+    def test_a_row_that_no_longer_parses_does_not_stop_recovery(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "subs.wal")
+        harness = Harness(database=Database(path=path))
+        ids = [
+            harness.manager.add_subscription(
+                SOURCE.replace("MyXyleme", f"Sub{n}"), "a@x"
+            )
+            for n in range(3)
+        ]
+        # A literal an older grammar accepted and this one rejects.
+        broken = SOURCE.replace("MyXyleme", "Sub0").replace(
+            "and modified self", "and DOCID = 1.2.3"
+        )
+        harness.manager.database.table("subscriptions").update(
+            ids[0], {"source": broken}
+        )
+        harness.manager.database.close()
+
+        fresh = Harness(database=Database.recover(path))
+        assert fresh.manager.recover() == 2
+        assert list(fresh.manager.unrecovered) == [ids[0]]
+        assert "1.2.3" in fresh.manager.unrecovered[ids[0]]
+        notifications = fresh.feed("http://inria.fr/Xy/index.html")
+        assert len(notifications) == 2
+
 
 class TestRefreshHints:
     def test_hints_collected(self, harness):
