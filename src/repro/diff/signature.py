@@ -18,18 +18,23 @@ one price hashes little more than that price's ancestors.  A signature is
 a pure function of its key, so a memo from any other tree can only miss,
 never give a wrong value.  Keys are ``str`` and ``bytes`` and values
 ``int``, none of which the cyclic garbage collector tracks, so a memo
-adds no work to its collections.
+adds no work to its collections; only each record (below), a tuple of
+an ``int`` and such a dict, is one tracked object.
 
 The repository signs a fetched page while parsing it
 (``repro.xmlstore.parser.parse(source, memo)``), and builds no node for a
 subtree the memo holds: the signature stands in the parent's children
 list as a placeholder until ``compute_delta`` puts the stored subtree, or
-a copy of it, there.  That only works while the memo holds the keys of
-the stored version and of no other tree, which the repository keeps
-true.  :func:`sign_subtree` signs a tree already built (a ``Document``
-input, a tree a caller built).  :func:`document_signature` signs a
-document only while it is unsigned (``root.signature`` is None), so the
-repository's whole-document signature and both sides of a later
+a copy of it, there.  The memo also holds the stored version's *records*,
+the exact text of each child of the root that has children, with its
+signature and its subtree's keys, so the parse can splice every record
+the page repeats byte for byte out before expat reads it, leaving the
+same placeholder.  That only works while the memo holds the keys and
+records of the stored version and of no other tree, which the
+repository keeps true.  :func:`sign_subtree` signs a tree already built
+(a ``Document`` input, a tree a caller built).  :func:`document_signature`
+signs a document only while it is unsigned (``root.signature`` is None),
+so the repository's whole-document signature and both sides of a later
 ``compute_delta`` read the same pass, and a subtree the next version
 takes over from this one (see ``repro.diff.matching``) keeps its
 signatures for the diff after.
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 from struct import Struct
-from typing import Callable, Dict, Hashable, Optional, Sequence
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from ..xmlstore.nodes import Document, Node, TextNode
 
@@ -106,18 +111,32 @@ def element_keyer() -> Callable[[str, Dict[str, str], Sequence[int]], bytes]:
     return element_key
 
 
+#: A record of a :class:`SignatureMemo`: the signature of a child of the
+#: root and the content keys of its subtree.
+Record = Tuple[int, Dict[Hashable, int]]
+
+
 class SignatureMemo:
-    """Content key -> signature of every subtree of one version.
+    """Content key -> signature of every subtree of one version, and
+    that version's records.
 
     :func:`sign_subtree` and the signing parse read it and then replace
     its entries with those of the tree they signed, so it never holds
-    more keys than that tree has nodes.
+    more keys than that tree has nodes.  ``records`` maps the exact
+    UTF-8 text of each child of the root that has children, as the page
+    the version was parsed from holds it, to that child's
+    :data:`Record`; the signing parse splices those texts out of the
+    next page (see ``repro.xmlstore.parser``).  The signing parse
+    replaces the records together with the entries, and
+    :func:`sign_subtree` clears them: a tree signed without its text has
+    no records.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "records")
 
     def __init__(self) -> None:
         self.entries: Dict[Hashable, int] = {}
+        self.records: Dict[bytes, Record] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -131,7 +150,7 @@ def sign_subtree(root: Node, memo: Optional[SignatureMemo] = None) -> int:
     ordered signatures of its children; a text node's hashes its text.
     With a ``memo``, a subtree whose content key it holds takes the
     memo's signature unhashed, and the memo then holds ``root``'s keys
-    in place of its old ones.
+    in place of its old ones, and no records.
     """
     known = memo.entries if memo is not None else {}
     keys: Dict[Hashable, int] = {}
@@ -161,6 +180,7 @@ def sign_subtree(root: Node, memo: Optional[SignatureMemo] = None) -> int:
     del sign
     if memo is not None:
         memo.entries = keys
+        memo.records = {}
     return signature
 
 

@@ -19,23 +19,29 @@ that of the text last stored for the URL, the page is unchanged and is
 neither parsed nor signed.  Otherwise it is parsed together with the
 stored document's :class:`~repro.diff.signature.SignatureMemo` (a new
 URL's page with a fresh one), which holds the content key and signature of
-every subtree of the stored version: only subtrees the memo does not hold
-are hashed and built, each other one is left as a signature placeholder,
-and the memo then holds the new version's keys.  Each subtree signature
-stays on its node (``Node.signature``), where ``compute_delta`` reads it
-now and again when the next version arrives.
+every subtree of the stored version, and that version's records (the
+exact text of each child of the root that has children): every record
+the page repeats byte for byte is spliced out before expat reads it, only
+subtrees the memo does not hold are hashed and built, each other one is
+left as a signature placeholder, and the memo then holds the new
+version's keys and records.  Each subtree signature stays on its node
+(``Node.signature``), where ``compute_delta`` reads it now and again when
+the next version arrives.
 
-The memo must hold the keys of the stored version, since a placeholder
-is resolved from that version's subtrees.  So every path keeps the two
-together: a new URL, a ``Document`` input (signed with ``sign_subtree``)
-and a restore (its parse, with a fresh memo) fill the memo from the tree
-they store; a page rejected by the parser leaves it unchanged; a page
-whose tree equals the stored one leaves the keys it had; and an XML fetch
-of a URL stored as HTML signs into a fresh memo before it is refused.  No
-placeholder leaves the repository: an unchanged tree is dropped,
-``compute_delta`` resolves every placeholder of an update, and a lineage
-restart parses the page again, whole, with a fresh memo.  The memo is
-not checkpointed.
+The memo must hold the keys and records of the stored version, since a
+placeholder is resolved from that version's subtrees.  So every path
+keeps the two together: a new URL and a restore (its parse, with a fresh
+memo) fill the memo from the tree they store, and a ``Document`` input
+(signed with ``sign_subtree``, which clears the records) too; a page
+rejected by the parser leaves it unchanged; a page whose tree equals the
+stored one leaves the keys it had, with the records of the new text,
+which are children of the same tree (the stored ``text`` stays the older
+one, so the records are kept as copies of their text, not as offsets);
+and an XML fetch of a URL stored as HTML signs into a fresh memo before
+it is refused.  No placeholder leaves the repository: an unchanged tree
+is dropped, ``compute_delta`` resolves every placeholder of an update,
+and a lineage restart parses the page again, whole, with a fresh memo.
+The memo is not checkpointed.
 
 An updated version takes over the stored version's unchanged subtrees
 (``compute_delta``): only its changed nodes and their ancestors are new
@@ -152,9 +158,9 @@ class _StoredDocument:
     #: ``current`` encoded for :meth:`state_dict` (``xml``, ``xids``,
     #: ``next_xid``), kept until :meth:`set_current` stores a new version.
     _entry: Optional[Dict] = field(default=None, repr=False)
-    #: Content key -> signature of every subtree of ``current``; the next
-    #: version is parsed and signed against it.  Not checkpointed: a
-    #: restore rebuilds it while parsing.
+    #: Content key -> signature of every subtree of ``current``, and its
+    #: records; the next version is parsed and signed against it.  Not
+    #: checkpointed: a restore rebuilds it while parsing.
     memo: SignatureMemo = field(default_factory=SignatureMemo, repr=False)
 
     def set_current(self, document: Document, text: Optional[str]) -> None:
